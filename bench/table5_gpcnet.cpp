@@ -1,6 +1,7 @@
 // Table 5 — GPCNeT on 9,400 nodes: isolated vs congested at 8 PPN (ideal,
 // impact 1.0x), the 32 PPN degradation (§4.2.2), and a congestion-control
 // ablation showing what Slingshot's CC buys.
+#include <algorithm>
 #include <cstdio>
 
 #include "core/xscale.hpp"
@@ -65,16 +66,21 @@ int main(int argc, char** argv) {
   // Cross-machine comparison (ISSUE 9): the same congestor suite on Summit
   // (non-blocking fat-tree, no Slingshot-class CC) and Aurora (Slingshot
   // dragonfly, 8 NICs/node) — the three-point spread the cross-topology
-  // chapter in EXPERIMENTS.md tabulates.
+  // chapter in EXPERIMENTS.md tabulates. Each machine runs the job at most
+  // at its own size (Summit has 4,600 compute nodes, not 9,400).
   cfg.ppn = 8;
   const auto summit = machines::summit();
   auto sfab = summit.build_fabric();
-  auto rs = mpi::run_gpcnet(summit, sfab, cfg);
+  auto scfg = cfg;
+  scfg.nodes = std::min(cfg.nodes, summit.compute_nodes);
+  auto rs = mpi::run_gpcnet(summit, sfab, scfg);
   print_result("--- Cross-machine: Summit, 8 PPN ---", rs);
 
   const auto aurora = machines::aurora();
   auto afab = aurora.build_fabric();
-  auto ra = mpi::run_gpcnet(aurora, afab, cfg);
+  auto acfg = cfg;
+  acfg.nodes = std::min(cfg.nodes, aurora.compute_nodes);
+  auto ra = mpi::run_gpcnet(aurora, afab, acfg);
   print_result("--- Cross-machine: Aurora, 8 PPN ---", ra);
   return 0;
 }

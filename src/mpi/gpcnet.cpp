@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cmath>
 #include <numeric>
+#include <stdexcept>
+#include <string>
 
 #include "net/patterns.hpp"
 #include "sim/parallel.hpp"
@@ -121,6 +123,11 @@ void victim_bw_stats(const std::vector<double>& rates, const FlowSet& fs,
 
 GpcnetResult run_gpcnet(const machines::Machine& machine, const net::Fabric& fabric,
                         const GpcnetConfig& cfg) {
+  if (cfg.nodes > machine.compute_nodes)
+    throw std::invalid_argument(
+        "run_gpcnet: " + std::to_string(cfg.nodes) + " nodes requested on " +
+        machine.name + ", which has " + std::to_string(machine.compute_nodes) +
+        " compute nodes");
   sim::Rng rng(cfg.seed);
   const int nics = std::max(1, machine.node.nics);
   const double ranks_per_flow =

@@ -55,6 +55,8 @@ struct GpcnetResult {
   std::vector<double> impact;
 };
 
+// Throws std::invalid_argument when `cfg.nodes` exceeds the machine's
+// compute nodes.
 GpcnetResult run_gpcnet(const machines::Machine& machine, const net::Fabric& fabric,
                         const GpcnetConfig& cfg = {});
 

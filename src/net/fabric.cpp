@@ -40,7 +40,7 @@ bool FabricOverlay::fail_link(int link_id) {
   materialize();
   failed_[id] = 1;
   failed_ids_.push_back(link_id);
-  if (snap_->topology().link(link_id).kind == topo::LinkKind::Global)
+  if (snap_->topology().link_kind(link_id) == topo::LinkKind::Global)
     ++failed_globals_;
   cow_cap_[id] = 0.0;
   ++cap_epoch_;
@@ -52,7 +52,7 @@ bool FabricOverlay::restore_link(int link_id) {
   if (failed_.empty() || !failed_[id]) return false;  // idempotent no-op
   failed_[id] = 0;
   failed_ids_.erase(std::find(failed_ids_.begin(), failed_ids_.end(), link_id));
-  if (snap_->topology().link(link_id).kind == topo::LinkKind::Global)
+  if (snap_->topology().link_kind(link_id) == topo::LinkKind::Global)
     --failed_globals_;
   cow_cap_[id] = restored_capacity(link_id);
   ++cap_epoch_;
@@ -155,16 +155,35 @@ std::vector<double> Fabric::steady_rates(const std::vector<std::pair<int, int>>&
                                          const std::vector<double>* weights,
                                          std::vector<std::vector<int>>* paths_out,
                                          const std::vector<double>* rate_caps) const {
-  sim::Rng rng(config().seed);
   const auto& topo = topology();
+  const int n_eps = topo.num_endpoints();
+  for (const auto& [s, d] : pairs)
+    if (s < 0 || d < 0 || s >= n_eps || d >= n_eps)
+      throw std::out_of_range("Fabric::steady_rates: endpoint pair (" +
+                              std::to_string(s) + ", " + std::to_string(d) +
+                              ") out of range [0, " + std::to_string(n_eps) + ")");
+  sim::Rng rng(config().seed);
   std::vector<std::vector<int>> paths;
   paths.reserve(pairs.size());
-  std::vector<int> load(topo.links().size(), 0);
-  for (const auto& [s, d] : pairs) {
-    auto p = route(s, d, rng, &load);
-    for (int l : p) ++load[static_cast<std::size_t>(l)];
-    paths.push_back(std::move(p));
+  // Per-link flow counts for adaptive routing. The per-thread buffer is kept
+  // all-zero between calls and reset by walking the routed paths, so a call
+  // costs O(nnz) here rather than O(num_links), also when routing throws.
+  static thread_local std::vector<int> load;
+  if (load.size() < topo.links().size()) load.resize(topo.links().size(), 0);
+  auto reset_load = [&] {
+    for (const auto& p : paths)
+      for (int l : p) load[static_cast<std::size_t>(l)] = 0;
+  };
+  try {
+    for (const auto& [s, d] : pairs) {
+      paths.push_back(route(s, d, rng, &load));
+      for (int l : paths.back()) ++load[static_cast<std::size_t>(l)];
+    }
+  } catch (...) {
+    reset_load();
+    throw;
   }
+  reset_load();
   const std::vector<double>& eff_cap = overlay_.effective_capacities();
   std::vector<double> rates;
   if (rate_caps != nullptr) {

@@ -156,7 +156,8 @@ class Fabric {
   // `rate_caps` (optional, 0 = uncapped) bound a flow's offered load — e.g.
   // message-rate-limited congestors that cannot saturate their NIC. Caps are
   // realized as per-flow virtual links, so capped flows still take part in
-  // max-min fairness.
+  // max-min fairness. Endpoint ids outside [0, num_endpoints) throw
+  // std::out_of_range before anything is routed.
   std::vector<double> steady_rates(const std::vector<std::pair<int, int>>& pairs,
                                    const std::vector<double>* weights = nullptr,
                                    std::vector<std::vector<int>>* paths_out = nullptr,

@@ -261,7 +261,7 @@ void TopologySnapshot::minimal_path_into(int src_ep, int dst_ep,
   base_minimal_path_into(src_ep, dst_ep, out);
   bool broken = false;
   for (int l : out) {
-    if (topo_.link(l).kind == topo::LinkKind::Global && link_failed(failed, l)) {
+    if (topo_.link_kind(l) == topo::LinkKind::Global && link_failed(failed, l)) {
       broken = true;
       break;
     }
@@ -272,29 +272,28 @@ void TopologySnapshot::minimal_path_into(int src_ep, int dst_ep,
   route_overlay_reroute().inc();
 }
 
-std::vector<int> TopologySnapshot::valiant_path(
-    int src_ep, int dst_ep, sim::Rng& rng,
-    const std::vector<char>* failed) const {
+void TopologySnapshot::valiant_path_into(int src_ep, int dst_ep, sim::Rng& rng,
+                                         const std::vector<char>* failed,
+                                         std::vector<int>& out) const {
   const int sa = topo_.endpoint_switch(src_ep);
   const int sb = topo_.endpoint_switch(dst_ep);
   const int ga = topo_.group_of_switch(sa);
   const int gb = topo_.group_of_switch(sb);
-  std::vector<int> minimal;
   // No non-minimal routing on a fat-tree (one core, nothing to spread over)
   // or a rotor (traffic rides the direct matching link; a two-hop detour's
   // legs belong to different matchings and are never live in the same slot,
   // so a valiant flow would stall forever).
   if (topo_.is_fat_tree() || topo_.is_rotor()) {
-    minimal_path_into(src_ep, dst_ep, failed, minimal);
-    return minimal;
+    minimal_path_into(src_ep, dst_ep, failed, out);
+    return;
   }
 
   if (ga == gb) {
     // Intra-group non-minimal: detour through a random intermediate switch,
     // spreading a hot switch pair over the group's full connectivity.
     if (sa == sb) {
-      minimal_path_into(src_ep, dst_ep, failed, minimal);
-      return minimal;
+      minimal_path_into(src_ep, dst_ep, failed, out);
+      return;
     }
     const auto [base, n] = topo_.group_switch_range(ga);
     int si = -1;
@@ -306,11 +305,12 @@ std::vector<int> TopologySnapshot::valiant_path(
       }
     }
     if (si < 0) {
-      minimal_path_into(src_ep, dst_ep, failed, minimal);
-      return minimal;
+      minimal_path_into(src_ep, dst_ep, failed, out);
+      return;
     }
-    return {topo_.injection_link(src_ep), topo_.switch_link(sa, si),
-            topo_.switch_link(si, sb), topo_.ejection_link(dst_ep)};
+    out.assign({topo_.injection_link(src_ep), topo_.switch_link(sa, si),
+                topo_.switch_link(si, sb), topo_.ejection_link(dst_ep)});
+    return;
   }
 
   // Pick a random intermediate group reachable from both sides.
@@ -327,23 +327,22 @@ std::vector<int> TopologySnapshot::valiant_path(
     }
   }
   if (gi < 0) {
-    minimal_path_into(src_ep, dst_ep, failed, minimal);
-    return minimal;
+    minimal_path_into(src_ep, dst_ep, failed, out);
+    return;
   }
 
-  std::vector<int> path;
-  path.push_back(topo_.injection_link(src_ep));
+  out.clear();
+  out.push_back(topo_.injection_link(src_ep));
   const int gw_a = topo_.gateway_switch(ga, gi);
-  if (sa != gw_a) path.push_back(topo_.switch_link(sa, gw_a));
-  path.push_back(topo_.global_link(ga, gi));
+  if (sa != gw_a) out.push_back(topo_.switch_link(sa, gw_a));
+  out.push_back(topo_.global_link(ga, gi));
   const int in_i = topo_.gateway_switch(gi, ga);   // arrival switch in gi
   const int out_i = topo_.gateway_switch(gi, gb);  // departure switch in gi
-  if (in_i != out_i) path.push_back(topo_.switch_link(in_i, out_i));
-  path.push_back(topo_.global_link(gi, gb));
+  if (in_i != out_i) out.push_back(topo_.switch_link(in_i, out_i));
+  out.push_back(topo_.global_link(gi, gb));
   const int gw_b = topo_.gateway_switch(gb, gi);
-  if (gw_b != sb) path.push_back(topo_.switch_link(gw_b, sb));
-  path.push_back(topo_.ejection_link(dst_ep));
-  return path;
+  if (gw_b != sb) out.push_back(topo_.switch_link(gw_b, sb));
+  out.push_back(topo_.ejection_link(dst_ep));
 }
 
 void TopologySnapshot::route_into(int src_ep, int dst_ep, sim::Rng& rng,
@@ -355,13 +354,16 @@ void TopologySnapshot::route_into(int src_ep, int dst_ep, sim::Rng& rng,
       minimal_path_into(src_ep, dst_ep, failed, out);
       return;
     case Routing::Valiant:
-      out = valiant_path(src_ep, dst_ep, rng, failed);
+      valiant_path_into(src_ep, dst_ep, rng, failed, out);
       return;
     case Routing::Adaptive: {
       minimal_path_into(src_ep, dst_ep, failed, out);
       if (topo_.is_fat_tree() || topo_.is_rotor() || global_load == nullptr)
         return;
-      auto val_p = valiant_path(src_ep, dst_ep, rng, failed);
+      // Per-thread detour buffer: warm after the first route, so an adaptive
+      // decision allocates nothing.
+      static thread_local std::vector<int> val_p;
+      valiant_path_into(src_ep, dst_ep, rng, failed, val_p);
       if (val_p.size() == out.size()) return;  // intra-group or fallback
       // UGAL: compare queue-depth proxies (flow counts) on the switch-switch
       // links; the detour uses more hops, so it must look at least
@@ -369,7 +371,7 @@ void TopologySnapshot::route_into(int src_ep, int dst_ep, sim::Rng& rng,
       auto load_of = [&](const std::vector<int>& p) {
         int worst = 0;
         for (int l : p) {
-          const auto kind = topo_.link(l).kind;
+          const auto kind = topo_.link_kind(l);
           if (kind == topo::LinkKind::Global || kind == topo::LinkKind::Local)
             worst = std::max(worst, (*global_load)[static_cast<std::size_t>(l)]);
         }
@@ -379,7 +381,7 @@ void TopologySnapshot::route_into(int src_ep, int dst_ep, sim::Rng& rng,
       const int lv = load_of(val_p);
       if (static_cast<double>(lm) >
           cfg_.ugal_threshold * static_cast<double>(lv + 1))
-        out = std::move(val_p);
+        out.assign(val_p.begin(), val_p.end());
       return;
     }
   }

@@ -83,9 +83,10 @@ class TopologySnapshot {
                          std::vector<int>& out) const;
 
   // Valiant non-minimal path (random intermediate group avoiding failed
-  // global bundles under the view).
-  std::vector<int> valiant_path(int src_ep, int dst_ep, sim::Rng& rng,
-                                const std::vector<char>* failed) const;
+  // global bundles under the view), written into `out` (replaced).
+  void valiant_path_into(int src_ep, int dst_ep, sim::Rng& rng,
+                         const std::vector<char>* failed,
+                         std::vector<int>& out) const;
 
   // Minimal paths never change from terminal/local failures and the cache is
   // never reset, so these are failure-view-free conveniences.

@@ -172,26 +172,22 @@ std::vector<double> solve_core_reference(
   return rate;
 }
 
-// Union-find over link ids, path-halving.
-struct LinkDsu {
-  std::vector<int> parent;
-  explicit LinkDsu(std::size_t n) : parent(n) {
-    std::iota(parent.begin(), parent.end(), 0);
+// Union-find over compact link ids, path-halving; `parent` is caller-owned
+// scratch initialised to the identity.
+int dsu_find(std::vector<int>& parent, int x) {
+  while (parent[static_cast<std::size_t>(x)] != x) {
+    parent[static_cast<std::size_t>(x)] =
+        parent[static_cast<std::size_t>(parent[static_cast<std::size_t>(x)])];
+    x = parent[static_cast<std::size_t>(x)];
   }
-  int find(int x) {
-    while (parent[static_cast<std::size_t>(x)] != x) {
-      parent[static_cast<std::size_t>(x)] =
-          parent[static_cast<std::size_t>(parent[static_cast<std::size_t>(x)])];
-      x = parent[static_cast<std::size_t>(x)];
-    }
-    return x;
-  }
-  void unite(int a, int b) {
-    a = find(a);
-    b = find(b);
-    if (a != b) parent[static_cast<std::size_t>(b)] = a;
-  }
-};
+  return x;
+}
+
+void dsu_unite(std::vector<int>& parent, int a, int b) {
+  a = dsu_find(parent, a);
+  b = dsu_find(parent, b);
+  if (a != b) parent[static_cast<std::size_t>(b)] = a;
+}
 
 }  // namespace
 
@@ -444,34 +440,99 @@ std::vector<double> max_min_rates_components(
   }
   validate(capacities, paths, weights);
 
-  // Link-connectivity union-find; two flows are coupled iff their paths
-  // transitively share a link.
-  LinkDsu dsu(capacities.size());
+  // Per-thread scratch, reached below through `c` only: worker lambdas must
+  // read the caller's instance, not their own thread's.
+  struct CompactScratch {
+    std::vector<std::uint64_t> mark;  // per fabric link: epoch last touched
+    std::vector<int> compact_id;      // per fabric link, valid when marked
+    std::uint64_t epoch = 0;
+    std::vector<double> caps;         // per compact link
+    PathsCsr csr;                     // the paths over compact ids
+    std::vector<int> parent;          // union-find, per compact link
+    std::vector<int> comp_of_root;    // per compact link
+    std::vector<int> comp_of_flow;
+    std::vector<int> comp_off;        // component -> flows, CSR
+    std::vector<int> comp_flows;
+    SolveScratch solve;
+  };
+  static thread_local CompactScratch cs;
+  CompactScratch& c = cs;
+
+  // Renumber the touched links to compact ids in first-seen order. The mark
+  // is epoch-stamped, so everything below costs O(nnz) however large the
+  // fabric is. First-seen order is also the order the CSR core assigns its
+  // dense positions in, so solving over compact ids performs the same
+  // arithmetic as solving over fabric ids and every output bit matches.
+  if (c.mark.size() < capacities.size()) {
+    c.mark.resize(capacities.size(), 0);
+    c.compact_id.resize(capacities.size(), 0);
+  }
+  ++c.epoch;
+  c.caps.clear();
+  c.csr.clear();
   for (const auto& p : paths) {
     assert(!p.empty());
-    for (std::size_t i = 1; i < p.size(); ++i) dsu.unite(p[0], p[i]);
+    for (int l : p) {
+      const auto lu = static_cast<std::size_t>(l);
+      if (c.mark[lu] != c.epoch) {
+        c.mark[lu] = c.epoch;
+        c.compact_id[lu] = static_cast<int>(c.caps.size());
+        c.caps.push_back(capacities[lu]);
+      }
+      c.csr.push_link(c.compact_id[lu]);
+    }
+    c.csr.end_path();
   }
+  const std::size_t nl = c.caps.size();
+  const int* lids = c.csr.link_ids.data();
+  const int* off = c.csr.offsets.data();
+
+  // Link-connectivity union-find; two flows are coupled iff their paths
+  // transitively share a link.
+  c.parent.resize(nl);
+  std::iota(c.parent.begin(), c.parent.end(), 0);
+  for (std::size_t f = 0; f < nf; ++f)
+    for (int i = off[f] + 1; i < off[f + 1]; ++i)
+      dsu_unite(c.parent, lids[off[f]], lids[i]);
 
   // Dense component ids in first-flow order — deterministic regardless of
-  // thread count; each component's flow list is ascending by construction.
-  std::vector<int> comp_of_root(capacities.size(), -1);
-  std::vector<std::vector<int>> comp_flows;
+  // thread count.
+  c.comp_of_root.assign(nl, -1);
+  c.comp_of_flow.resize(nf);
+  int nc = 0;
   for (std::size_t f = 0; f < nf; ++f) {
-    const int root = dsu.find(paths[f][0]);
-    int& c = comp_of_root[static_cast<std::size_t>(root)];
-    if (c < 0) {
-      c = static_cast<int>(comp_flows.size());
-      comp_flows.emplace_back();
-    }
-    comp_flows[static_cast<std::size_t>(c)].push_back(static_cast<int>(f));
+    int& comp = c.comp_of_root[static_cast<std::size_t>(
+        dsu_find(c.parent, lids[off[f]]))];
+    if (comp < 0) comp = nc++;
+    c.comp_of_flow[f] = comp;
   }
 
-  const std::size_t nc = comp_flows.size();
-  if (nc == 1) return max_min_rates(capacities, paths, weights, stats);
-
   std::vector<double> rate(nf, 0.0);
-  std::vector<SolveStats> comp_stats(nc);
-  sim::parallel_for(nc, 1, [&](std::size_t cb, std::size_t ce) {
+  const double* w = weights ? weights->data() : nullptr;
+  if (nc == 1) {
+    max_min_rates_csr(c.caps.data(), nl, c.csr, w, rate.data(), stats, c.solve);
+    return rate;
+  }
+
+  // Each component's flow list, ascending, by counting sort.
+  c.comp_off.assign(static_cast<std::size_t>(nc) + 1, 0);
+  for (std::size_t f = 0; f < nf; ++f)
+    ++c.comp_off[static_cast<std::size_t>(c.comp_of_flow[f]) + 1];
+  for (std::size_t k = 1; k < c.comp_off.size(); ++k)
+    c.comp_off[k] += c.comp_off[k - 1];
+  c.comp_flows.resize(nf);
+  for (std::size_t f = 0; f < nf; ++f)
+    c.comp_flows[static_cast<std::size_t>(
+        c.comp_off[static_cast<std::size_t>(c.comp_of_flow[f])]++)] =
+        static_cast<int>(f);
+  // The fill advanced every offset to the next component's start.
+  for (std::size_t k = c.comp_off.size() - 1; k > 0; --k)
+    c.comp_off[k] = c.comp_off[k - 1];
+  c.comp_off[0] = 0;
+
+  std::vector<SolveStats> comp_stats(static_cast<std::size_t>(nc));
+  sim::parallel_for(static_cast<std::size_t>(nc), 1, [&](std::size_t cb,
+                                                        std::size_t ce) {
     // Per-worker pack buffers. The link remap is epoch-stamped, so packing a
     // component costs O(its nnz) with no clearing pass; links are renumbered
     // in first-encounter order (the same order the global solve would visit
@@ -488,45 +549,46 @@ std::vector<double> max_min_rates_components(
       SolveScratch solve;
     };
     static thread_local PackScratch ps;
-    if (ps.mark.size() < capacities.size()) {
-      ps.mark.resize(capacities.size(), 0);
-      ps.local_id.resize(capacities.size(), 0);
+    if (ps.mark.size() < nl) {
+      ps.mark.resize(nl, 0);
+      ps.local_id.resize(nl, 0);
     }
-    for (std::size_t c = cb; c < ce; ++c) {
-      const std::vector<int>& flows = comp_flows[c];
+    for (std::size_t k = cb; k < ce; ++k) {
+      const int* flows = c.comp_flows.data() + c.comp_off[k];
+      const auto n_flows = static_cast<std::size_t>(c.comp_off[k + 1] - c.comp_off[k]);
       ++ps.epoch;
       ps.sub_caps.clear();
       ps.sub_w.clear();
       ps.sub_csr.clear();
-      for (int f : flows) {
-        const auto fu = static_cast<std::size_t>(f);
-        for (int l : paths[fu]) {
-          const auto lu = static_cast<std::size_t>(l);
+      for (std::size_t i = 0; i < n_flows; ++i) {
+        const auto fu = static_cast<std::size_t>(flows[i]);
+        for (int j = off[fu]; j < off[fu + 1]; ++j) {
+          const auto lu = static_cast<std::size_t>(lids[j]);
           if (ps.mark[lu] != ps.epoch) {
             ps.mark[lu] = ps.epoch;
             ps.local_id[lu] = static_cast<int>(ps.sub_caps.size());
-            ps.sub_caps.push_back(capacities[lu]);
+            ps.sub_caps.push_back(c.caps[lu]);
           }
           ps.sub_csr.push_link(ps.local_id[lu]);
         }
         ps.sub_csr.end_path();
-        if (weights) ps.sub_w.push_back((*weights)[fu]);
+        if (w) ps.sub_w.push_back(w[fu]);
       }
-      ensure(ps.sub_rates, flows.size());
+      ensure(ps.sub_rates, n_flows);
       max_min_rates_csr(ps.sub_caps.data(), ps.sub_caps.size(), ps.sub_csr,
-                        weights ? ps.sub_w.data() : nullptr,
-                        ps.sub_rates.data(), &comp_stats[c], ps.solve);
-      for (std::size_t i = 0; i < flows.size(); ++i)
+                        w ? ps.sub_w.data() : nullptr, ps.sub_rates.data(),
+                        &comp_stats[k], ps.solve);
+      for (std::size_t i = 0; i < n_flows; ++i)
         rate[static_cast<std::size_t>(flows[i])] = ps.sub_rates[i];
     }
   });
 
   if (stats) {
     *stats = SolveStats{};
-    for (const SolveStats& cs : comp_stats) {
-      stats->iterations += cs.iterations;
-      stats->bottleneck_links += cs.bottleneck_links;
-      stats->parallel_scans += cs.parallel_scans;
+    for (const SolveStats& st : comp_stats) {
+      stats->iterations += st.iterations;
+      stats->bottleneck_links += st.bottleneck_links;
+      stats->parallel_scans += st.parallel_scans;
     }
   }
   return rate;

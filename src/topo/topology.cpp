@@ -4,34 +4,45 @@
 #include <stdexcept>
 
 namespace xscale::topo {
-namespace {
-
-std::uint64_t key(int a, int b, int stride) {
-  return static_cast<std::uint64_t>(a) * static_cast<std::uint64_t>(stride) +
-         static_cast<std::uint64_t>(b);
-}
-
-}  // namespace
 
 int Topology::add_link(int src, int dst, LinkKind kind, double cap, double lat) {
   const int id = static_cast<int>(links_.size());
   links_.push_back(Link{id, src, dst, kind, cap, lat});
+  link_kind_.push_back(kind);
   return id;
 }
 
+void Topology::init_group_tables() {
+  const auto pairs =
+      static_cast<std::size_t>(n_groups_) * static_cast<std::size_t>(n_groups_);
+  global_link_.assign(pairs, -1);
+  gateway_.assign(pairs, -1);
+}
+
+void Topology::add_global_link(int g, int h, int gw_g, int gw_h, double cap,
+                               double lat) {
+  global_link_[group_pair(g, h)] = add_link(gw_g, gw_h, LinkKind::Global, cap, lat);
+  gateway_[group_pair(g, h)] = gw_g;
+}
+
 int Topology::switch_link(int u, int v) const {
-  const auto it = switch_link_idx_.find(key(u, v, num_switches_ + 1));
-  return it == switch_link_idx_.end() ? -1 : it->second;
-}
-
-int Topology::global_link(int g, int h) const {
-  const auto it = global_link_idx_.find(key(g, h, n_groups_ + 1));
-  return it == global_link_idx_.end() ? -1 : it->second;
-}
-
-int Topology::gateway_switch(int g, int h) const {
-  const int id = global_link(g, h);
-  return id < 0 ? -1 : links_[static_cast<std::size_t>(id)].src;
+  if (u < 0 || v < 0 || u >= num_switches_ || v >= num_switches_ || u == v)
+    return -1;
+  if (fat_tree_) {
+    const int core = num_switches_ - 1;
+    if (v == core) return leaf_up_[static_cast<std::size_t>(u)];
+    if (u == core) return leaf_down_[static_cast<std::size_t>(v)];
+    return -1;
+  }
+  // Rotor groups hold one switch each, so u != v never shares a group there.
+  const int g = group_of_switch(u);
+  if (group_of_switch(v) != g) return -1;
+  // Offset of (a, b) in the a-major block of ordered pairs with b != a.
+  const int first = group_first_switch_[static_cast<std::size_t>(g)];
+  const int n = group_size_[static_cast<std::size_t>(g)];
+  const int a = u - first;
+  const int b = v - first;
+  return local_base_[static_cast<std::size_t>(g)] + a * (n - 1) + (b < a ? b : b - 1);
 }
 
 std::vector<int> Topology::peer_groups(int g) const {
@@ -69,9 +80,9 @@ Topology Topology::dragonfly(const std::vector<GroupSpec>& groups,
   Topology t;
   t.n_groups_ = static_cast<int>(groups.size());
 
-  // Size everything up front — a Frontier-scale build (74 groups, ~2.5k
-  // switches, ~10k endpoints, ~1M links) would otherwise spend most of its
-  // time in vector regrowth and hash-map rehashes.
+  // Size everything up front — a Frontier-scale build (~2.5k switches,
+  // ~39k endpoints, ~160k links) would otherwise spend most of its time in
+  // vector regrowth.
   {
     std::size_t switches = 0, endpoints = 0, locals = 0;
     for (const GroupSpec& gs : groups) {
@@ -90,8 +101,8 @@ Topology Topology::dragonfly(const std::vector<GroupSpec>& groups,
     t.injection_link_.reserve(endpoints);
     t.ejection_link_.reserve(endpoints);
     t.links_.reserve(2 * endpoints + locals + globals);
-    t.switch_link_idx_.reserve(locals);
-    t.global_link_idx_.reserve(globals);
+    t.link_kind_.reserve(2 * endpoints + locals + globals);
+    t.local_base_.reserve(groups.size());
   }
 
   // Switch ids, grouped contiguously.
@@ -119,16 +130,16 @@ Topology Topology::dragonfly(const std::vector<GroupSpec>& groups,
     }
   }
 
-  // Intra-group full connectivity: one L1 link per ordered switch pair.
+  // Intra-group full connectivity: one L1 link per ordered switch pair, laid
+  // down a-major so switch_link can compute the id from the pair.
   for (int g = 0; g < t.n_groups_; ++g) {
     const int first = t.group_first_switch_[static_cast<std::size_t>(g)];
     const int n = t.group_size_[static_cast<std::size_t>(g)];
+    t.local_base_.push_back(static_cast<int>(t.links_.size()));
     for (int a = 0; a < n; ++a)
       for (int b = 0; b < n; ++b) {
         if (a == b) continue;
-        const int id = t.add_link(first + a, first + b, LinkKind::Local, link_bw,
-                                  hop_latency);
-        t.switch_link_idx_[key(first + a, first + b, t.num_switches_ + 1)] = id;
+        t.add_link(first + a, first + b, LinkKind::Local, link_bw, hop_latency);
       }
   }
 
@@ -136,6 +147,7 @@ Topology Topology::dragonfly(const std::vector<GroupSpec>& groups,
   // The bundle terminates on a deterministic gateway switch: peer-group index
   // modulo the group size, which spreads bundles over switches like the real
   // fabric manager's cabling plan does.
+  t.init_group_tables();
   for (int g = 0; g < t.n_groups_; ++g)
     for (int h = 0; h < t.n_groups_; ++h) {
       if (g == h) continue;
@@ -147,9 +159,8 @@ Topology Topology::dragonfly(const std::vector<GroupSpec>& groups,
                        h % t.group_size_[static_cast<std::size_t>(g)];
       const int gw_h = t.group_first_switch_[static_cast<std::size_t>(h)] +
                        g % t.group_size_[static_cast<std::size_t>(h)];
-      const int id = t.add_link(gw_g, gw_h, LinkKind::Global,
-                                static_cast<double>(nl) * link_bw, hop_latency);
-      t.global_link_idx_[key(g, h, t.n_groups_ + 1)] = id;
+      t.add_global_link(g, h, gw_g, gw_h, static_cast<double>(nl) * link_bw,
+                        hop_latency);
     }
   return t;
 }
@@ -190,7 +201,10 @@ Topology Topology::oversubscribed_fat_tree(int leaves, int eps_per_leaf,
   t.injection_link_.reserve(eps);
   t.ejection_link_.reserve(eps);
   t.links_.reserve(2 * eps + 2 * static_cast<std::size_t>(leaves));
-  t.switch_link_idx_.reserve(2 * static_cast<std::size_t>(leaves));
+  t.link_kind_.reserve(2 * eps + 2 * static_cast<std::size_t>(leaves));
+  t.leaf_up_.reserve(static_cast<std::size_t>(leaves));
+  t.leaf_down_.reserve(static_cast<std::size_t>(leaves));
+  t.init_group_tables();  // one group: no global links
 
   for (int l = 0; l < leaves; ++l) {
     for (int e = 0; e < eps_per_leaf; ++e) {
@@ -206,10 +220,8 @@ Topology Topology::oversubscribed_fat_tree(int leaves, int eps_per_leaf,
     // traffic contends here before it contends at the terminals.
     const double up =
         link_bw * static_cast<double>(eps_per_leaf) / oversub_ratio;
-    const int upl = t.add_link(l, core, LinkKind::Core, up, hop_latency);
-    const int dnl = t.add_link(core, l, LinkKind::Core, up, hop_latency);
-    t.switch_link_idx_[key(l, core, t.num_switches_ + 1)] = upl;
-    t.switch_link_idx_[key(core, l, t.num_switches_ + 1)] = dnl;
+    t.leaf_up_.push_back(t.add_link(l, core, LinkKind::Core, up, hop_latency));
+    t.leaf_down_.push_back(t.add_link(core, l, LinkKind::Core, up, hop_latency));
   }
   return t;
 }
@@ -248,7 +260,8 @@ Topology Topology::rotor(int n_switches, int eps_per_switch, int n_matchings,
   t.injection_link_.reserve(eps);
   t.ejection_link_.reserve(eps);
   t.links_.reserve(2 * eps + globals);
-  t.global_link_idx_.reserve(globals);
+  t.link_kind_.reserve(2 * eps + globals);
+  t.init_group_tables();
 
   for (int s = 0; s < n_switches; ++s) {
     t.group_first_switch_.push_back(s);
@@ -272,8 +285,7 @@ Topology Topology::rotor(int n_switches, int eps_per_switch, int n_matchings,
     const double cap = m == 0 ? t.rotor_active_capacity_ : 0.0;
     for (int i = 0; i < n_switches; ++i) {
       const int j = (i + m + 1) % n_switches;
-      const int id = t.add_link(i, j, LinkKind::Global, cap, hop_latency);
-      t.global_link_idx_[key(i, j, t.n_groups_ + 1)] = id;
+      t.add_global_link(i, j, i, j, cap, hop_latency);
     }
   }
   return t;

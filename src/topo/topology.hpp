@@ -30,7 +30,6 @@
 #include <cstdint>
 #include <functional>
 #include <string>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -71,19 +70,24 @@ class Topology {
 
   const std::vector<Link>& links() const { return links_; }
   const Link& link(int id) const { return links_[static_cast<std::size_t>(id)]; }
+  // `link(id).kind` from a dense byte array: routing reads the kind of every
+  // hop it weighs, and one byte per link stays cache-resident where the
+  // 40-byte `Link` records do not.
+  LinkKind link_kind(int id) const { return link_kind_[static_cast<std::size_t>(id)]; }
 
-  // Logical link from vertex u to v (-1 if absent). Switch vertices use
-  // switch ids; endpoint links are looked up with `injection_link` /
-  // `ejection_link`.
+  // Logical link from switch u to switch v (-1 if absent): intra-group Local
+  // links of a dragonfly, leaf<->core links of a fat-tree. Endpoint links are
+  // looked up with `injection_link` / `ejection_link`, inter-group links with
+  // `global_link`.
   int switch_link(int sw_u, int sw_v) const;
   int injection_link(int ep) const { return injection_link_[static_cast<std::size_t>(ep)]; }
   int ejection_link(int ep) const { return ejection_link_[static_cast<std::size_t>(ep)]; }
 
   // Switch in group `g` that terminates the global bundle toward group `h`
   // (-1 if no bundle exists).
-  int gateway_switch(int g, int h) const;
+  int gateway_switch(int g, int h) const { return gateway_[group_pair(g, h)]; }
   // Global link id between groups g -> h (-1 if none).
-  int global_link(int g, int h) const;
+  int global_link(int g, int h) const { return global_link_[group_pair(g, h)]; }
 
   // Groups adjacent to `g` via global bundles.
   std::vector<int> peer_groups(int g) const;
@@ -149,6 +153,13 @@ class Topology {
 
  private:
   int add_link(int src, int dst, LinkKind kind, double cap, double lat);
+  std::size_t group_pair(int g, int h) const {
+    return static_cast<std::size_t>(g) * static_cast<std::size_t>(n_groups_) +
+           static_cast<std::size_t>(h);
+  }
+  // Size the n_groups^2 global-link / gateway tables (all -1).
+  void init_group_tables();
+  void add_global_link(int g, int h, int gw_g, int gw_h, double cap, double lat);
 
   int num_switches_ = 0;
   bool fat_tree_ = false;
@@ -157,16 +168,25 @@ class Topology {
   double rotor_duty_cycle_ = 1.0;
   double rotor_active_capacity_ = 0;
   std::vector<Link> links_;
+  std::vector<LinkKind> link_kind_;  // links_[i].kind, densely packed
   std::vector<int> endpoint_switch_;
   std::vector<int> injection_link_;
   std::vector<int> ejection_link_;
   std::vector<int> group_of_switch_;
   std::vector<int> group_first_switch_;  // per group
   std::vector<int> group_size_;          // switches per group
-  // (u * num_vertices + v) -> link id for switch-switch links.
-  std::unordered_map<std::uint64_t, int> switch_link_idx_;
-  // (g * num_groups + h) -> link id.
-  std::unordered_map<std::uint64_t, int> global_link_idx_;
+  // Dense routing index, built by each builder; O(links + groups^2) memory
+  // (a switches^2 table would cost ~24 MB on Frontier).
+  //   * Dragonfly Local links: group g's block starts at local_base_[g] and
+  //     is a-major over ordered pairs (a, b != a), so switch_link is
+  //     arithmetic over the group-relative indices.
+  //   * Fat-tree core links: leaf_up_[leaf] / leaf_down_[leaf].
+  //   * Global links and their source gateways: (g * n_groups + h) tables.
+  std::vector<int> local_base_;   // per group (dragonfly only)
+  std::vector<int> leaf_up_;      // per leaf (fat-tree only)
+  std::vector<int> leaf_down_;    // per leaf (fat-tree only)
+  std::vector<int> global_link_;  // n_groups^2, -1 = no bundle
+  std::vector<int> gateway_;      // n_groups^2, -1 = no bundle
   int n_groups_ = 0;
 };
 

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <numeric>
+#include <stdexcept>
 
 #include "machines/machine.hpp"
 #include "mpi/comm.hpp"
@@ -165,6 +166,14 @@ TEST(SimComm, AnalyticMachineWorksWithoutFabric) {
   EXPECT_GT(comm.sustained_per_rank_bw(), 0.0);
   EXPECT_GT(comm.allreduce_time(8), 0.0);
   EXPECT_GT(comm.latency(0, 64), 1e-6);
+}
+
+TEST(Gpcnet, MoreNodesThanTheMachineHasThrows) {
+  const auto summit = machines::summit();
+  auto fabric = summit.build_fabric();
+  mpi::GpcnetConfig cfg;
+  cfg.nodes = summit.compute_nodes + 1;
+  EXPECT_THROW(mpi::run_gpcnet(summit, fabric, cfg), std::invalid_argument);
 }
 
 TEST(Gpcnet, CongestionControlIsolatesAt8Ppn) {

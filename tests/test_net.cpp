@@ -265,6 +265,16 @@ TEST(Fabric, IntraSwitchPairHitsNicEfficiency) {
   EXPECT_NEAR(rates[0] / 1e9, 25.0 * 0.70, 0.01);
 }
 
+TEST(Fabric, SteadyRatesRejectsOutOfRangeEndpoints) {
+  auto f = small_dragonfly(net::Routing::Adaptive);
+  const int eps = f.topology().num_endpoints();
+  EXPECT_THROW(f.steady_rates({{0, 1}, {0, eps}}), std::out_of_range);
+  EXPECT_THROW(f.steady_rates({{-1, 0}}), std::out_of_range);
+  // A rejected call leaves the fabric usable and its answers unchanged.
+  const net::PairList ok{{0, eps - 1}, {1, eps - 2}, {2, 17}};
+  EXPECT_EQ(f.steady_rates(ok), small_dragonfly(net::Routing::Adaptive).steady_rates(ok));
+}
+
 TEST(Fabric, MinimalPathHopCounts) {
   auto f = small_dragonfly(net::Routing::Minimal);
   // Same switch: inj + ej.

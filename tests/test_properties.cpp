@@ -80,6 +80,88 @@ INSTANTIATE_TEST_SUITE_P(Sweep, SolverProperty,
                                            SolverCase{4, 16, 500, 2},
                                            SolverCase{5, 512, 100, 8}));
 
+// The component solver renumbers the links a problem touches to compact ids
+// before solving. On a Frontier-sized capacity vector (160,016 links) whose
+// paths touch only a few dozen high link ids, its rates must equal the
+// reference oracle's bit for bit, and its stats must equal the reference's:
+// the whole-problem stats for one component, the per-component sums for
+// many.
+struct SparseSolveCase {
+  const char* name;
+  int components;
+};
+
+class SparseHighIdSolve : public ::testing::TestWithParam<SparseSolveCase> {};
+
+TEST_P(SparseHighIdSolve, ComponentsMatchReferenceBitwise) {
+  const auto c = GetParam();
+  constexpr int kLinks = 160016;
+  constexpr int kLinksPerComponent = 12;
+  sim::Rng rng(2024);
+  std::vector<double> cap(kLinks);
+  for (auto& x : cap) x = rng.uniform(0.5, 50.0);
+  // Component k owns the link block just below kLinks - k * 12; every path
+  // holds the block's top link, so each block is one component. Flows of
+  // different components interleave, so the compact ids do too.
+  std::vector<std::vector<int>> paths;
+  std::vector<std::vector<int>> flows_of(static_cast<std::size_t>(c.components));
+  for (int f = 0; f < 40; ++f) {
+    for (int k = 0; k < c.components; ++k) {
+      const int top = kLinks - 1 - k * kLinksPerComponent;
+      const int len = 1 + static_cast<int>(rng.index(4));
+      std::set<int> s{top};
+      while (static_cast<int>(s.size()) < len)
+        s.insert(top - static_cast<int>(rng.index(kLinksPerComponent)));
+      flows_of[static_cast<std::size_t>(k)].push_back(static_cast<int>(paths.size()));
+      paths.emplace_back(s.rbegin(), s.rend());
+    }
+  }
+  std::vector<double> weights(paths.size());
+  for (auto& w : weights) w = rng.uniform(0.5, 4.0);
+
+  net::SolveStats ref_stats;
+  const auto ref = net::max_min_rates_reference(cap, paths, &weights, &ref_stats);
+  net::SolveStats want = ref_stats;
+  if (c.components > 1) {
+    want = net::SolveStats{};
+    for (const auto& flows : flows_of) {
+      std::vector<std::vector<int>> sub_paths;
+      std::vector<double> sub_w;
+      for (int f : flows) {
+        sub_paths.push_back(paths[static_cast<std::size_t>(f)]);
+        sub_w.push_back(weights[static_cast<std::size_t>(f)]);
+      }
+      net::SolveStats st;
+      net::max_min_rates_reference(cap, sub_paths, &sub_w, &st);
+      want.iterations += st.iterations;
+      want.bottleneck_links += st.bottleneck_links;
+      want.parallel_scans += st.parallel_scans;
+    }
+  }
+
+  const int prev_threads = sim::thread_count();
+  for (int threads : {1, 2, 8}) {
+    sim::set_thread_count(threads);
+    net::SolveStats got;
+    const auto rc = net::max_min_rates_components(cap, paths, &weights, &got);
+    ASSERT_EQ(rc.size(), ref.size());
+    for (std::size_t f = 0; f < ref.size(); ++f)
+      EXPECT_EQ(rc[f], ref[f]) << c.name << " flow " << f << " threads=" << threads;
+    EXPECT_EQ(got.iterations, want.iterations) << c.name;
+    EXPECT_EQ(got.bottleneck_links, want.bottleneck_links) << c.name;
+    EXPECT_EQ(got.parallel_scans, want.parallel_scans) << c.name;
+  }
+  sim::set_thread_count(prev_threads);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    FrontierSized, SparseHighIdSolve,
+    ::testing::Values(SparseSolveCase{"one_component", 1},
+                      SparseSolveCase{"many_components", 24}),
+    [](const ::testing::TestParamInfo<SparseSolveCase>& info) {
+      return std::string(info.param.name);
+    });
+
 // -------------------------------------------------- dragonfly properties ----
 
 class DragonflySize : public ::testing::TestWithParam<int> {};
@@ -436,8 +518,15 @@ struct RouteFamily {
   topo::Topology (*make)();
 };
 
+topo::Topology route_family_frontier() {
+  // Mixed group sizes: compute groups and smaller service groups.
+  return machines::frontier().topology_factory();
+}
 topo::Topology route_family_dragonfly() {
   return topo::Topology::uniform_dragonfly(6, {4, 4}, 1, 25e9, 180e-9);
+}
+topo::Topology route_family_fat_tree() {
+  return topo::Topology::fat_tree(12, 8, 25e9, 180e-9);
 }
 topo::Topology route_family_os_fat_tree() {
   return topo::Topology::oversubscribed_fat_tree(12, 8, 4.0, 25e9, 180e-9);
@@ -550,9 +639,71 @@ TEST_P(RouteCacheFamilyProperty, UniversalInvariantsAndFamilyHopBounds) {
   EXPECT_EQ(cached.route(a, b, rng_a), before);
 }
 
+// The dense routing index (switch_link / global_link / gateway_switch /
+// link_kind) agrees with the link list: every Local and Core link is found
+// by its endpoints, every Global link by its groups with its source as the
+// gateway, and sampled switch pairs and every group pair without a link
+// answer -1.
+TEST_P(RouteCacheFamilyProperty, DenseIndexMatchesLinkList) {
+  const RouteFamily fam = GetParam();
+  const topo::Topology t = fam.make();
+  std::set<std::pair<int, int>> switch_pairs;
+  std::set<std::pair<int, int>> group_pairs;
+  for (const auto& l : t.links()) {
+    ASSERT_EQ(t.link_kind(l.id), l.kind) << fam.name << " link " << l.id;
+    switch (l.kind) {
+      case topo::LinkKind::Local:
+      case topo::LinkKind::Core:
+        ASSERT_EQ(t.switch_link(l.src, l.dst), l.id) << fam.name;
+        switch_pairs.emplace(l.src, l.dst);
+        break;
+      case topo::LinkKind::Global: {
+        const int g = t.group_of_switch(l.src);
+        const int h = t.group_of_switch(l.dst);
+        ASSERT_EQ(t.global_link(g, h), l.id) << fam.name;
+        ASSERT_EQ(t.gateway_switch(g, h), l.src) << fam.name;
+        group_pairs.emplace(g, h);
+        break;
+      }
+      case topo::LinkKind::Injection:
+        ASSERT_EQ(t.injection_link(l.src), l.id) << fam.name;
+        break;
+      case topo::LinkKind::Ejection:
+        ASSERT_EQ(t.ejection_link(l.dst), l.id) << fam.name;
+        break;
+    }
+  }
+  for (int g = 0; g < t.num_groups(); ++g)
+    for (int h = 0; h < t.num_groups(); ++h)
+      if (!group_pairs.count({g, h})) {
+        EXPECT_EQ(t.global_link(g, h), -1) << fam.name << " " << g << "->" << h;
+        EXPECT_EQ(t.gateway_switch(g, h), -1) << fam.name << " " << g << "->" << h;
+      }
+  // Random switch pairs (mostly cross-group on a dragonfly), then pairs
+  // inside one group, then degenerate ids.
+  const int ns = t.num_switches();
+  sim::Rng rng(11);
+  for (int trial = 0; trial < 20000; ++trial) {
+    const int u = static_cast<int>(rng.index(static_cast<std::uint64_t>(ns)));
+    int v = static_cast<int>(rng.index(static_cast<std::uint64_t>(ns)));
+    if (trial % 2 == 1) {
+      const auto [first, n] = t.group_switch_range(t.group_of_switch(u));
+      v = first + static_cast<int>(rng.index(static_cast<std::uint64_t>(n)));
+    }
+    if (!switch_pairs.count({u, v})) {
+      ASSERT_EQ(t.switch_link(u, v), -1) << fam.name << " " << u << "->" << v;
+    }
+  }
+  EXPECT_EQ(t.switch_link(0, 0), -1) << fam.name;
+  EXPECT_EQ(t.switch_link(-1, 0), -1) << fam.name;
+  EXPECT_EQ(t.switch_link(0, ns), -1) << fam.name;
+}
+
 INSTANTIATE_TEST_SUITE_P(
     Families, RouteCacheFamilyProperty,
-    ::testing::Values(RouteFamily{"dragonfly", route_family_dragonfly},
+    ::testing::Values(RouteFamily{"frontier", route_family_frontier},
+                      RouteFamily{"dragonfly", route_family_dragonfly},
+                      RouteFamily{"fat_tree", route_family_fat_tree},
                       RouteFamily{"os_fat_tree", route_family_os_fat_tree},
                       RouteFamily{"rotor", route_family_rotor}),
     [](const ::testing::TestParamInfo<RouteFamily>& info) {

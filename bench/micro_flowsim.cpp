@@ -32,7 +32,6 @@
 #include "net/fabric.hpp"
 #include "net/flowsim.hpp"
 #include "net/rotor.hpp"
-#include "obs/metrics.hpp"
 #include "obs/options.hpp"
 #include "resil/jobsim.hpp"
 #include "sim/engine.hpp"
@@ -145,9 +144,7 @@ net::Fabric build_fabric(int endpoints, Fab fam = Fab::Dragonfly) {
     // Dragonfly shapes sized so groups x switches x endpoints = n. Above the
     // paper's single-Frontier shape the ladder scales by adding groups at the
     // same 16x8 group spec (the real machine's scale-out axis): 148 groups ~
-    // 2x Frontier, 296 ~ 4x, 740 ~ 10x (the 100k smoke row). Past ~724
-    // switches the Fabric drops its dense switch-pair route table, so these
-    // rows also exercise the sparse routing path.
+    // 2x Frontier, 296 ~ 4x, 740 ~ 10x (the 100k smoke row).
     int g = 4, s = 4, e = 4;  // 64
     if (endpoints >= 75776) {
       g = 740; s = 16; e = 8;  // 94,720 eps — 10x-Frontier smoke shape
@@ -175,27 +172,6 @@ net::Fabric build_fabric(int endpoints, Fab fam = Fab::Dragonfly) {
           .count();
   return fabric;
 }
-
-// Route-cache effectiveness over a measured region: hit% of all lookups.
-// The cache lives on the shared TopologySnapshot, so it persists across
-// benchmark iterations — exactly the steady-churn behaviour the gate guards.
-struct RouteCacheProbe {
-  std::uint64_t hit0 = 0, miss0 = 0;
-  RouteCacheProbe() { reset(); }
-  void reset() {
-    hit0 = obs::metrics().counter("net.route_cache.hit").value();
-    miss0 = obs::metrics().counter("net.route_cache.miss").value();
-  }
-  double hit_pct() const {
-    const std::uint64_t h =
-        obs::metrics().counter("net.route_cache.hit").value() - hit0;
-    const std::uint64_t m =
-        obs::metrics().counter("net.route_cache.miss").value() - miss0;
-    return h + m ? 100.0 * static_cast<double>(h) /
-                       static_cast<double>(h + m)
-                 : 0.0;
-  }
-};
 
 // Churn driver: one outstanding flow per participating endpoint until the
 // launch budget runs out. The completion callback captures only {this, src}
@@ -339,26 +315,6 @@ void BM_FlowChurn(benchmark::State& state, Pattern p, bool incremental,
   net::FlowSim::Stats last{};
   std::size_t heap = 0, stale = 0;
   std::uint64_t allocs = 0, slot_transitions = 0;
-  RouteCacheProbe rc;
-  {
-    // Prime the shared route cache (it lives on the topology snapshot and
-    // persists across runs) with one untimed churn over the full launch
-    // sequence (the driver is deterministic, so a timed run replays exactly
-    // these pairs — all-to-all advances its shift phase per launch), then
-    // rebase the probe so rc_hit% reports steady-state effectiveness, not
-    // first-run cold misses.
-    sim::Engine weng;
-    net::FlowSim wfs(weng, fabric, {.incremental = incremental});
-    std::optional<net::RotorSchedule> wrotor;
-    if (is_rotor) {
-      // Rotor churn needs live slot rotation: a flow whose matching is dark
-      // parks at rate zero until its slot comes back.
-      wrotor.emplace(weng, fabric, &wfs);
-      wrotor->start();
-    }
-    churn(wfs, weng, p, n, target);
-    rc.reset();
-  }
   WindowCounts wb{};
   for (auto _ : state) {
     const std::uint64_t a0 = heap_allocs();
@@ -438,13 +394,11 @@ void BM_FlowChurn(benchmark::State& state, Pattern p, bool incremental,
           ? 100.0 * static_cast<double>(last.parallel_scans) /
                 static_cast<double>(last.solver_iterations)
           : 0.0;
-  state.counters["rc_hit%"] = rc.hit_pct();
   state.counters["topo_build_ms"] = topo_ms;
   if (is_rotor) {
     // Slot-boundary cost (ISSUE 9): how many transitions the run needed and
     // how many warm-memo generations they invalidated. check_bench.py gates
-    // that rotor rows actually rotated and that slot re-pricing leaves the
-    // route cache untouched (the generic rc_hit% floor).
+    // that rotor rows actually rotated.
     state.counters["slot_transitions"] = static_cast<double>(slot_transitions);
     state.counters["memo_stale"] = static_cast<double>(last.warm_memo_stale);
   }
@@ -453,7 +407,7 @@ void BM_FlowChurn(benchmark::State& state, Pattern p, bool incremental,
 // ISSUE 5 acceptance probe: allocations per *steady-state* incremental
 // re-solve. One engine + simulator persist across the whole benchmark; a
 // warmup churn grows every arena (flow slots, per-link incidence, CSR
-// scratch, route cache, engine heap) to its fixed point, then each iteration
+// scratch, engine heap) to its fixed point, then each iteration
 // runs a measured churn window against the warm state. allocs/resolve must
 // be exactly 0.
 void BM_SteadyResolve(benchmark::State& state, Pattern p) {
@@ -495,47 +449,15 @@ void BM_SteadyResolve(benchmark::State& state, Pattern p) {
   state.counters["resolves"] = static_cast<double>(resolves);
 }
 
-// Thread-scaling (ISSUE 4): full-solve all-to-all churn at 4,096 endpoints.
-// All-to-all is one connected component, so the win comes from the parallel
-// min-share scan inside the water-filling loop (engaged at >= 4096 active
-// links); results are bit-identical at any thread count, only wall clock
-// changes. Sweep XSCALE_THREADS-equivalents via the Arg.
-void BM_FlowChurnThreads(benchmark::State& state) {
-  const int prev_threads = sim::thread_count();
-  sim::set_thread_count(static_cast<int>(state.range(0)));
-  const int n = 4096;
-  const auto fabric = build_fabric(n);
-  const auto target = churn_target(n);
-  net::FlowSim::Stats last{};
-  for (auto _ : state) {
-    sim::Engine eng;
-    net::FlowSim fs(eng, fabric, {.incremental = false});
-    const auto done = churn(fs, eng, Pattern::AllToAll, n, target);
-    benchmark::DoNotOptimize(done);
-    last = fs.stats();
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(target));
-  state.counters["threads"] = static_cast<double>(state.range(0));
-  state.counters["scan_engaged%"] =
-      last.solver_iterations
-          ? 100.0 * static_cast<double>(last.parallel_scans) /
-                static_cast<double>(last.solver_iterations)
-          : 0.0;
-  sim::set_thread_count(prev_threads);
-}
-
 // Thread-scaling for the warm whole-set solve (ISSUE 8/10): all-to-all churn
 // with fallback_fraction = 0, which routes every resolve through the warm
 // whole-set water-filling — the path whose min-share scan and batch
 // rate-subtraction cross the parallel gates once the live link list is large
-// enough. The full-solve variant above never exercises these code paths, so
-// its scaling numbers said nothing about warm resolves (and plain
-// incremental all-to-all churn solves small per-churn components, never the
-// whole set). Args are {threads, endpoints}: the Frontier-scale row (9,408)
-// sweeps the full thread ladder; the 2x/4x-Frontier rows (ISSUE 10) run
-// {1, 4} so the recorded snapshot carries the 4-thread-vs-1-thread speedup
-// check_bench.py gates at every fabric scale.
+// enough (plain incremental all-to-all churn solves small per-churn
+// components, never the whole set). Args are {threads, endpoints}: the
+// Frontier-scale row (9,408) sweeps the full thread ladder; the
+// 2x/4x-Frontier rows (ISSUE 10) run {1, 4} so the recorded snapshot carries
+// the 4-thread-vs-1-thread speedup check_bench.py gates at every fabric scale.
 void BM_FlowChurnThreadsWarm(benchmark::State& state) {
   const int prev_threads = sim::thread_count();
   sim::set_thread_count(static_cast<int>(state.range(0)));
@@ -632,8 +554,8 @@ BENCHMARK_CAPTURE(BM_FlowChurn, incast_incremental, Pattern::Incast, true)
 BENCHMARK_CAPTURE(BM_FlowChurn, incast_full, Pattern::Incast, false)
     ->Arg(64)->Arg(256)->Arg(1024)->Unit(benchmark::kMillisecond);
 // Cross-topology churn rows (ISSUE 9): identical driver and counters on the
-// 4:1 oversubscribed fat-tree and the full-coverage rotor, so the route-cache
-// and write-back gates cover all three fabric families.
+// 4:1 oversubscribed fat-tree and the full-coverage rotor, so the write-back
+// and rotor gates cover all three fabric families.
 BENCHMARK_CAPTURE(BM_FlowChurn, osft_permutation_incremental,
                   Pattern::Permutation, true, Fab::OsFatTree)
     ->Arg(64)->Arg(256)->Arg(1024)->Unit(benchmark::kMillisecond);
@@ -651,8 +573,6 @@ BENCHMARK_CAPTURE(BM_SteadyResolve, alltoall, Pattern::AllToAll)
 BENCHMARK_CAPTURE(BM_SteadyResolve, permutation, Pattern::Permutation)
     ->Arg(1024)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_EngineCancelChurn)->Arg(4)->Arg(1024)->Unit(benchmark::kMillisecond);
-BENCHMARK(BM_FlowChurnThreads)
-    ->Arg(1)->Arg(2)->Arg(4)->Arg(8)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_FlowChurnThreadsWarm)
     ->Args({1, 9408})->Args({2, 9408})->Args({4, 9408})->Args({8, 9408})
     ->Args({1, 18944})->Args({4, 18944})

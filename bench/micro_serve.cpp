@@ -12,13 +12,12 @@
 //                 are per-overlay since the snapshot split)
 //   epochs_max  — largest per-session capacity epoch at the end (diff-applied
 //                 repeated scenarios keep this at 1 per failed link)
-//   reroutes    — shared-cache misses taken as overlay-local fresh recomputes
+//   reroutes    — minimal routes that detoured around a failed Global bundle
 //
 // The check_bench.py gate compares sessions=64 against sessions=1 throughput:
 // serving 64 overlay scenarios from one snapshot must stay within 2x of the
 // single-session per-scenario cost at XSCALE_THREADS=1 (no cross-session
-// invalidation, or the route cache and memo hit rates collapse and this
-// ratio craters).
+// invalidation, or the memo hit rate collapses and this ratio craters).
 #include <benchmark/benchmark.h>
 
 #include <algorithm>

@@ -71,7 +71,7 @@ def check_structural(cur, errors):
     # the BM_SteadyResolve bound above. Absent on legacy snapshots. The bound
     # is 0.1, not 0: small all-to-all rows keep visiting brand-new (src, dst)
     # pairs deep into the window (the pair universe n(n-1) dwarfs the visit
-    # count at n <= 1024), so route-cache/incidence first-touch growth leaks a
+    # count at n <= 1024), so incidence-list first-touch growth leaks a
     # few hundredths per op there — measured 0.04-0.07 at 64-1024, <= 0.01
     # at 9,408+ where the pair universe saturates. A genuine per-resolve
     # allocation would show as ~1.0/op, an order of magnitude above the bound.
@@ -115,26 +115,11 @@ def check_structural(cur, errors):
                  f"{name}: writeback% = {wb} (> 5; incast write-back must "
                  "stay sub-linear in active flows)")
 
-    # Route-cache effectiveness (ISSUE 8): steady churn re-runs the same
-    # endpoint pairs against an unchanged snapshot, so route lookups must be
-    # cache hits — a regression that rebuilds or bypasses the shared cache
-    # (per-session cache, epoch bump per scenario) drives the hit rate
-    # toward zero. Same-run ratio, so machine-free.
-    for name, entry in sorted(cur.items()):
-        if name.startswith(CHURN + "/"):
-            rc = entry.get("rc_hit%")
-            if rc is not None and rc < 50.0:
-                fail(errors,
-                     f"{name}: rc_hit% = {rc} (< 50; steady churn must be "
-                     "served from the shared route cache)")
-
     # Rotor slot churn (ISSUE 9): the rotor churn rows must have actually
     # rotated — slot_transitions == 0 means the schedule never fired and the
     # row silently measured a frozen slot-0 fabric — and slot re-pricing must
     # stay on the warm/incremental resolve paths rather than driving every
-    # transition to the cold fallback solve. (Their rc_hit% is covered by the
-    # generic route-cache floor above: slot changes re-price links but never
-    # re-steer routes.)
+    # transition to the cold fallback solve.
     for name, entry in sorted(cur.items()):
         if name.startswith(CHURN + "/rotor_"):
             tr = entry.get("slot_transitions")
@@ -170,8 +155,8 @@ def check_structural(cur, errors):
     # Serving-path gate (ISSUE 7): 64 concurrent overlay sessions over one
     # shared snapshot must keep at least half the single-session per-scenario
     # throughput in the same run. If cross-session invalidation creeps back in
-    # (shared cache resets, sibling epoch bumps), memo and route-cache hit
-    # rates collapse and this same-machine ratio craters well below 0.5.
+    # (sibling epoch bumps), memo hit rates collapse and this same-machine
+    # ratio craters well below 0.5.
     serve_many = cur.get(f"{SERVE}/64")
     serve_one = cur.get(f"{SERVE}/1")
     if serve_many and serve_one:

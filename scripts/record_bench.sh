@@ -92,7 +92,7 @@ for name in ("micro_flowsim", "micro_simcore", "micro_serve"):
                   "threads", "heap", "stale",
                   "warm_memo%", "memo_stale", "epochs_max", "reroutes",
                   "slot_transitions",
-                  "writeback%", "rc_hit%", "topo_build_ms"):
+                  "writeback%", "topo_build_ms"):
             if k in b:
                 entry[k] = round(b[k], 6)
         snapshot["benchmarks"][f"{name}/{b['name']}"] = entry

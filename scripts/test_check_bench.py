@@ -57,7 +57,7 @@ class CheckBenchDriver(unittest.TestCase):
                 entry(5e5, **{"allocs/resolve": 0.0}),
             "micro_flowsim/BM_FlowChurn/incast_incremental/1024":
                 entry(2e4, **{"fallback%": 0.1, "warm%": 95.0,
-                              "writeback%": 0.2, "rc_hit%": 92.0}),
+                              "writeback%": 0.2}),
             "micro_flowsim/BM_FlowChurn/incast_full/1024": entry(1e3),
             "micro_flowsim/BM_FlowChurn/permutation_incremental/1024":
                 entry(3e4),
@@ -126,7 +126,7 @@ class CheckBenchDriver(unittest.TestCase):
         eager = self.healthy()
         eager["micro_flowsim/BM_FlowChurn/incast_incremental/1024"] = \
             entry(2e4, **{"fallback%": 0.1, "warm%": 95.0,
-                          "writeback%": 49.7, "rc_hit%": 92.0})
+                          "writeback%": 49.7})
         path = self.write("wb_eager.json", snapshot(eager))
         r = self.run_gate(path, path)
         self.assertEqual(r.returncode, 1, r.stdout + r.stderr)
@@ -141,33 +141,12 @@ class CheckBenchDriver(unittest.TestCase):
         r = self.run_gate(path, path)
         self.assertEqual(r.returncode, 0, r.stdout + r.stderr)
 
-    def test_route_cache_hit_rate_gate(self):
-        # ISSUE 8: steady churn bypassing the shared route cache (per-run
-        # rebuild, epoch churn) collapses the hit rate and must fail.
-        cold = self.healthy()
-        cold["micro_flowsim/BM_FlowChurn/permutation_incremental/1024"] = \
-            entry(3e4, **{"rc_hit%": 3.5})
-        path = self.write("rc_cold.json", snapshot(cold))
-        r = self.run_gate(path, path)
-        self.assertEqual(r.returncode, 1, r.stdout + r.stderr)
-        self.assertIn("rc_hit%", r.stdout)
-        self.assertIn("route cache", r.stdout)
-
-        # Entries without the column stay ungated.
-        legacy = self.healthy()
-        del legacy[
-            "micro_flowsim/BM_FlowChurn/incast_incremental/1024"]["rc_hit%"]
-        path = self.write("rc_legacy.json", snapshot(legacy))
-        r = self.run_gate(path, path)
-        self.assertEqual(r.returncode, 0, r.stdout + r.stderr)
-
     def test_rotor_slot_churn_gates(self):
         # ISSUE 9: a rotor churn row whose schedule never fired (frozen
         # slot-0 fabric) must fail, as must one that cold-fallbacks on slot
         # re-pricing.
         def rotor_entry(transitions, fallback):
             return entry(2e4, **{"fallback%": fallback, "warm%": 60.0,
-                                 "rc_hit%": 95.0,
                                  "slot_transitions": transitions})
 
         ok = self.healthy()
@@ -192,15 +171,6 @@ class CheckBenchDriver(unittest.TestCase):
         r = self.run_gate(path, path)
         self.assertEqual(r.returncode, 1, r.stdout + r.stderr)
         self.assertIn("cold-fallback", r.stdout)
-
-        # Rotor rows are churn rows: the generic route-cache floor applies.
-        bypass = self.healthy()
-        bypass["micro_flowsim/BM_FlowChurn/rotor_permutation_incremental/64"] \
-            = entry(2e4, **{"rc_hit%": 10.0, "slot_transitions": 1159.0})
-        path = self.write("rotor_bypass.json", snapshot(bypass))
-        r = self.run_gate(path, path)
-        self.assertEqual(r.returncode, 1, r.stdout + r.stderr)
-        self.assertIn("rc_hit%", r.stdout)
 
     def test_steady_alloc_gate(self):
         # ISSUE 10: the steady-window allocation counter on incremental churn

@@ -9,18 +9,16 @@
 // Since ISSUE 7 a Fabric is a thin pair (DESIGN.md §10):
 //
 //   * an immutable, shareable `TopologySnapshot` (snapshot.hpp) holding the
-//     topology, base capacities and the two-level minimal-route cache —
-//     filled lazily, NEVER invalidated, readable from any number of threads
-//     and sessions concurrently; and
+//     topology and base capacities, with no mutable state, readable from any
+//     number of threads and sessions concurrently; and
 //   * a cheap per-session `FabricOverlay` holding only this scenario's
 //     failed-link set and capacity deltas, with copy-on-write effective
 //     capacities and a per-overlay `capacity_epoch()`.
 //
 // `fail_link`/`restore_link` therefore mutate *only this fabric's overlay*:
-// sibling fabrics sharing the snapshot see no capacity change, no epoch bump
-// and no route-cache invalidation (there is nothing to invalidate — the
-// shared cache holds failure-free routes; an overlay with failed global
-// bundles recomputes just the broken paths on the fly). Both calls are
+// sibling fabrics sharing the snapshot see no capacity change and no epoch
+// bump (routes are derived per call under this overlay's failure view, so
+// there is nothing shared to invalidate). Both calls are
 // idempotent and bounds-checked: failing an already-failed link or restoring
 // a live one is a no-op that leaves the epoch — and every consumer memo keyed
 // on it — untouched.
@@ -98,7 +96,7 @@ class FabricOverlay {
 
   // Dense failed-flag view for routing, or nullptr when no failed *global*
   // bundle exists (routing only ever detours around those, so local and
-  // terminal failures keep every lookup on the shared cache).
+  // terminal failures never change a route).
   const std::vector<char>* routing_failure_view() const {
     return failed_globals_ > 0 ? &failed_ : nullptr;
   }
@@ -123,7 +121,7 @@ class Fabric {
   // Builds a private snapshot (the classic single-scenario constructor).
   Fabric(topo::Topology topology, FabricConfig cfg);
   // Opens a session over an existing shared snapshot: O(1), no topology
-  // copy, no route-cache build — the serving layer opens one per scenario.
+  // copy — the serving layer opens one per scenario.
   explicit Fabric(std::shared_ptr<const TopologySnapshot> snapshot);
   ~Fabric();
   Fabric(Fabric&&) noexcept;
@@ -142,9 +140,9 @@ class Fabric {
   std::vector<int> route(int src_ep, int dst_ep, sim::Rng& rng,
                          const std::vector<int>* global_load = nullptr) const;
 
-  // Same, writing into a caller-owned vector (cleared first). A cached
-  // minimal route lands here without any allocation once `out` has warmed to
-  // the path length — the FlowSim hot path relies on that.
+  // Same, writing into a caller-owned vector (cleared first). A minimal
+  // route lands here without any allocation once `out` has warmed to the
+  // path length — the FlowSim hot path relies on that.
   void route_into(int src_ep, int dst_ep, sim::Rng& rng,
                   const std::vector<int>* global_load,
                   std::vector<int>& out) const;

@@ -54,12 +54,17 @@ void FlowSim::clear_dirty() {
 }
 
 std::uint64_t FlowSim::start(int src, int dst, double bytes, Done on_done) {
+  const int n_eps = fabric_.topology().num_endpoints();
+  if (src < 0 || dst < 0 || src >= n_eps || dst >= n_eps)
+    throw std::out_of_range("FlowSim::start: endpoint pair (" +
+                            std::to_string(src) + ", " + std::to_string(dst) +
+                            ") out of range [0, " + std::to_string(n_eps) + ")");
   ensure_sized();
   const int slot = alloc_slot();
   // Route straight into the slot's reusable path buffer. Floor its capacity
-  // at the route cache's max entry length so a reused slot never grows
-  // through the 2→3→…→7 exact-size steps `assign` would otherwise take —
-  // after one warm pass over the arena, routing touches no allocator.
+  // at the longest route (injection + valiant switch segment + ejection) so a
+  // reused slot never grows through the 2→3→…→7 exact-size steps — after one
+  // warm pass over the arena, routing touches no allocator.
   auto& path = slots_[static_cast<std::size_t>(slot)].path;
   if (path.capacity() < 8) path.reserve(8);
   fabric_.route_into(src, dst, rng_, &link_load_, path);

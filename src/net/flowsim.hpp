@@ -78,7 +78,9 @@ class FlowSim {
   // Start a flow of `bytes` from endpoint `src` to `dst`; `on_done` fires at
   // the simulated completion time (transfer time only; callers add software
   // overheads and propagation latency). Routes directly into the slot's
-  // reusable path buffer (allocation-free on minimal routing).
+  // reusable path buffer (allocation-free on minimal routing). Throws
+  // std::out_of_range, leaving every state untouched, when an endpoint is
+  // outside the topology.
   std::uint64_t start(int src, int dst, double bytes, Done on_done);
 
   // Start a flow along an explicit path (e.g. storage traffic to OST
@@ -137,6 +139,8 @@ class FlowSim {
     // full O(live links) scan (summary invalid or inconclusive).
     std::uint64_t minshare_incr = 0;
     std::uint64_t minshare_full = 0;
+
+    bool operator==(const Stats&) const = default;
   };
   const Stats& stats() const { return stats_; }
   const FlowSimConfig& config() const { return cfg_; }

@@ -11,11 +11,9 @@
 // dark link re-resolve the moment their matching returns.
 //
 // Slot state lives entirely in the session's overlay. The shared
-// `TopologySnapshot` (and its route cache) is never touched: a slot change
-// re-prices links but never adds, removes or fails one, so every cached
-// route stays valid and sibling sessions on the same snapshot observe no
-// epoch movement — the PR 7 zero-invalidation contract extends to rotors
-// unchanged.
+// `TopologySnapshot` is never touched: a slot change re-prices links but
+// never adds, removes or fails one, so every route stays the same and
+// sibling sessions on the same snapshot observe no epoch movement.
 #pragma once
 
 #include <cstdint>

@@ -1,9 +1,7 @@
 #include "net/snapshot.hpp"
 
 #include <algorithm>
-#include <array>
 #include <cassert>
-#include <mutex>
 #include <stdexcept>
 
 #include "obs/metrics.hpp"
@@ -12,18 +10,9 @@ namespace xscale::net {
 
 namespace {
 
-obs::Counter& route_cache_hit() {
-  static obs::Counter& c = obs::metrics().counter("net.route_cache.hit");
-  return c;
-}
-
-obs::Counter& route_cache_miss() {
-  static obs::Counter& c = obs::metrics().counter("net.route_cache.miss");
-  return c;
-}
-
-// Cached base path bypassed because an overlay failed its global hop; the
-// serving acceptance tests pin that clean overlays never bump this.
+// Minimal routes that detoured because the overlay failed their direct
+// Global bundle (the name predates the retired route cache; perfbench reads
+// it). Clean overlays and Local/terminal failures never bump it.
 obs::Counter& route_overlay_reroute() {
   static obs::Counter& c = obs::metrics().counter("net.route_cache.overlay_reroute");
   return c;
@@ -33,59 +22,7 @@ inline bool link_failed(const std::vector<char>* failed, int link_id) {
   return failed != nullptr && (*failed)[static_cast<std::size_t>(link_id)] != 0;
 }
 
-// SplitMix64 finalizer: spreads the (src<<32 | dst) key over the
-// direct-mapped table so shift patterns don't alias into one stripe.
-inline std::uint64_t mix64(std::uint64_t x) {
-  x ^= x >> 33;
-  x *= 0xff51afd7ed558ccdULL;
-  x ^= x >> 33;
-  x *= 0xc4ceb9fe1a85ec53ULL;
-  x ^= x >> 33;
-  return x;
-}
-
 }  // namespace
-
-// Two-level minimal-route memo (DESIGN.md §8), holding *failure-free* routes
-// only — overlay failures never touch it, so it is filled at most once per
-// entry for the snapshot's lifetime.
-//
-// Level 1: dense switch-pair table. One entry per ordered (sa, sb) pair,
-// filled lazily under std::call_once (a throwing computation — disconnected
-// groups — leaves the flag unset, so the next caller retries and observes the
-// same throw). The switch segment of a minimal path is at most 5 links. Only
-// built when the pair count is small enough to commit the table up front; the
-// full Frontier fabric (~2,450 switches) skips it and relies on level 2.
-//
-// Level 2: direct-mapped endpoint-pair table, key (src<<32)|dst, holding the
-// complete path (<= 7 links: injection + segment + ejection). Collisions
-// overwrite — it is a cache, not a map. Entries are guarded by sharded
-// mutexes (slot -> shard) so concurrent readers (steady_rates workers, whole
-// scenario sessions) can probe and fill without a global lock.
-struct TopologySnapshot::RouteCache {
-  static constexpr std::uint64_t kEmptyKey = ~0ULL;
-  static constexpr std::size_t kMaxDenseSwitchPairs = std::size_t{1} << 19;
-  static constexpr std::size_t kShards = 64;
-
-  struct SwSeg {
-    std::once_flag once;
-    int n = 0;
-    int links[5];
-  };
-
-  struct EpEntry {
-    std::uint64_t key = kEmptyKey;
-    int n = 0;
-    int links[8];
-  };
-
-  int num_switches = 0;
-  std::unique_ptr<SwSeg[]> sw;  // num_switches^2 entries; null when gated off
-
-  std::uint64_t ep_mask = 0;
-  std::vector<EpEntry> ep;
-  std::array<std::mutex, kShards> mu;
-};
 
 const char* to_string(Routing r) {
   switch (r) {
@@ -104,24 +41,7 @@ TopologySnapshot::TopologySnapshot(topo::Topology topology, FabricConfig cfg)
                           l.kind == topo::LinkKind::Ejection;
     base_cap_.push_back(terminal ? l.capacity * cfg_.nic_efficiency : l.capacity);
   }
-  if (!cfg_.route_cache) return;
-  auto rc = std::make_unique<RouteCache>();
-  rc->num_switches = topo_.num_switches();
-  const std::size_t nsw = static_cast<std::size_t>(rc->num_switches);
-  if (nsw * nsw <= RouteCache::kMaxDenseSwitchPairs)
-    rc->sw = std::make_unique<RouteCache::SwSeg[]>(nsw * nsw);
-  // Endpoint-pair slots: ~8 per endpoint, power of two, bounded so a
-  // Frontier-scale fabric commits a few tens of MB at most.
-  std::size_t want = static_cast<std::size_t>(topo_.num_endpoints()) * 8;
-  want = std::clamp<std::size_t>(want, std::size_t{1} << 12, std::size_t{1} << 20);
-  std::size_t slots = 1;
-  while (slots < want) slots <<= 1;
-  rc->ep_mask = slots - 1;
-  rc->ep.resize(slots);
-  cache_ = std::move(rc);
 }
-
-TopologySnapshot::~TopologySnapshot() = default;
 
 int TopologySnapshot::compute_switch_segment(int sa, int sb,
                                              const std::vector<char>* failed,
@@ -160,6 +80,7 @@ int TopologySnapshot::compute_switch_segment(int sa, int sb,
       out[n++] = l2;
       const int gw_b = topo_.gateway_switch(gb, gi);
       if (gw_b != sb) out[n++] = topo_.switch_link(gw_b, sb);
+      route_overlay_reroute().inc();
       return n;
     }
     throw std::runtime_error("no live route between groups");
@@ -173,10 +94,11 @@ int TopologySnapshot::compute_switch_segment(int sa, int sb,
   return n;
 }
 
-void TopologySnapshot::minimal_path_fresh(int src_ep, int dst_ep,
-                                          const std::vector<char>* failed,
-                                          std::vector<int>& out) const {
+void TopologySnapshot::minimal_path_into(int src_ep, int dst_ep,
+                                         const std::vector<char>* failed,
+                                         std::vector<int>& out) const {
   assert(src_ep != dst_ep);
+  out.clear();
   out.push_back(topo_.injection_link(src_ep));
   const int sa = topo_.endpoint_switch(src_ep);
   const int sb = topo_.endpoint_switch(dst_ep);
@@ -186,90 +108,6 @@ void TopologySnapshot::minimal_path_fresh(int src_ep, int dst_ep,
     out.insert(out.end(), seg, seg + n);
   }
   out.push_back(topo_.ejection_link(dst_ep));
-}
-
-void TopologySnapshot::base_minimal_path_into(int src_ep, int dst_ep,
-                                              std::vector<int>& out) const {
-  out.clear();
-  RouteCache* rc = cache_.get();
-  if (rc == nullptr) {
-    minimal_path_fresh(src_ep, dst_ep, nullptr, out);
-    return;
-  }
-  const std::uint64_t key =
-      (static_cast<std::uint64_t>(static_cast<std::uint32_t>(src_ep)) << 32) |
-      static_cast<std::uint32_t>(dst_ep);
-  const std::size_t slot = static_cast<std::size_t>(mix64(key) & rc->ep_mask);
-  RouteCache::EpEntry& e = rc->ep[slot];
-  std::mutex& mu = rc->mu[slot & (RouteCache::kShards - 1)];
-  {
-    std::lock_guard<std::mutex> lk(mu);
-    if (e.key == key) {
-      out.assign(e.links, e.links + e.n);
-      route_cache_hit().inc();
-      return;
-    }
-  }
-  // Assemble into a stack buffer, serving the switch segment from the dense
-  // table when available. compute_switch_segment may throw (disconnected
-  // groups); nothing is cached in that case.
-  assert(src_ep != dst_ep);
-  int buf[8];
-  int n = 0;
-  buf[n++] = topo_.injection_link(src_ep);
-  const int sa = topo_.endpoint_switch(src_ep);
-  const int sb = topo_.endpoint_switch(dst_ep);
-  if (sa != sb) {
-    if (rc->sw != nullptr) {
-      RouteCache::SwSeg& seg =
-          rc->sw[static_cast<std::size_t>(sa) *
-                     static_cast<std::size_t>(rc->num_switches) +
-                 static_cast<std::size_t>(sb)];
-      std::call_once(seg.once, [&] {
-        seg.n = compute_switch_segment(sa, sb, nullptr, seg.links);
-      });
-      for (int i = 0; i < seg.n; ++i) buf[n++] = seg.links[i];
-    } else {
-      n += compute_switch_segment(sa, sb, nullptr, buf + n);
-    }
-  }
-  buf[n++] = topo_.ejection_link(dst_ep);
-  {
-    std::lock_guard<std::mutex> lk(mu);
-    e.key = key;
-    e.n = n;
-    std::copy(buf, buf + n, e.links);
-  }
-  out.assign(buf, buf + n);
-  route_cache_miss().inc();
-}
-
-void TopologySnapshot::minimal_path_into(int src_ep, int dst_ep,
-                                         const std::vector<char>* failed,
-                                         std::vector<int>& out) const {
-  if (failed == nullptr) {
-    // No failed global bundles in the caller's overlay: the failure-free
-    // cached path IS the minimal path (local/terminal failures zero capacity
-    // without rerouting), so terminal-link failures cost no cache traffic at
-    // all — the ISSUE 7 satellite fix over the old wholesale invalidation.
-    base_minimal_path_into(src_ep, dst_ep, out);
-    return;
-  }
-  // Probe the shared cache first: the base path stays valid unless one of
-  // its *global* hops is down in this overlay (minimal routing only ever
-  // detours around failed global bundles).
-  base_minimal_path_into(src_ep, dst_ep, out);
-  bool broken = false;
-  for (int l : out) {
-    if (topo_.link_kind(l) == topo::LinkKind::Global && link_failed(failed, l)) {
-      broken = true;
-      break;
-    }
-  }
-  if (!broken) return;
-  out.clear();
-  minimal_path_fresh(src_ep, dst_ep, failed, out);
-  route_overlay_reroute().inc();
 }
 
 void TopologySnapshot::valiant_path_into(int src_ep, int dst_ep, sim::Rng& rng,
@@ -386,20 +224,6 @@ void TopologySnapshot::route_into(int src_ep, int dst_ep, sim::Rng& rng,
     }
   }
   minimal_path_into(src_ep, dst_ep, failed, out);
-}
-
-double TopologySnapshot::base_latency(int src_ep, int dst_ep) const {
-  static thread_local std::vector<int> scratch;
-  base_minimal_path_into(src_ep, dst_ep, scratch);
-  double lat = 0;
-  for (int l : scratch) lat += topo_.link(l).latency_s;
-  return lat;
-}
-
-int TopologySnapshot::minimal_hops(int src_ep, int dst_ep) const {
-  static thread_local std::vector<int> scratch;
-  base_minimal_path_into(src_ep, dst_ep, scratch);
-  return static_cast<int>(scratch.size());
 }
 
 std::shared_ptr<const TopologySnapshot> make_snapshot(topo::Topology topology,

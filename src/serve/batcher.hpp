@@ -5,9 +5,8 @@
 // grain 1 (one session per chunk). Determinism contract (pinned by the
 // differential test in tests/test_serve.cpp): each session's results are
 // byte-identical to running that session alone, serially, at any thread
-// count. That holds because sessions share nothing mutable — the snapshot is
-// immutable and its lazily-filled route cache is value-deterministic (a probe
-// either hits the cached minimal path or recomputes the identical one), and
+// count. That holds because sessions share nothing mutable — the snapshot
+// holds no mutable state (routes are derived per call from its topology), and
 // every overlay, engine, FlowSim and scratch buffer is per-session.
 //
 // Admission and backpressure are explicit and observable: opening past

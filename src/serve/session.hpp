@@ -5,7 +5,7 @@
 // scale that link's capacity, inject this traffic, report completion times.
 // A `ScenarioSession` answers them sequentially over a private
 // `net::FabricOverlay` + `net::FlowSim`, while the expensive immutable state
-// — topology, base capacities, minimal-route cache — lives in one
+// — topology, base capacities, dense routing index — lives in one
 // `net::TopologySnapshot` shared by every session (DESIGN.md §10).
 //
 // Sessions are deliberately *stateful* between scenarios: the overlay is

@@ -238,10 +238,10 @@ Topology Topology::rotor(int n_switches, int eps_per_switch, int n_matchings,
 
   // One switch per group: every inter-switch link is a Global link, so the
   // dragonfly routing branch (direct group-to-group hop) serves unchanged and
-  // the route cache never needs a rotor-specific path. The links of ALL
-  // matchings are laid down statically; a slot change only re-prices them
-  // (never adds or removes links), which is what keeps the shared snapshot's
-  // route cache valid across slot boundaries.
+  // routing never needs a rotor-specific path. The links of ALL matchings are
+  // laid down statically; a slot change only re-prices them (never adds or
+  // removes links), which is what keeps every route the same across slot
+  // boundaries.
   Topology t;
   t.n_groups_ = n_switches;
   t.num_switches_ = n_switches;

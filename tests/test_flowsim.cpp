@@ -254,6 +254,31 @@ TEST(FlowSimIncremental, FullAndIncrementalCompletionTimesAgree) {
   for (std::size_t i = 0; i < inc.size(); ++i) EXPECT_EQ(inc[i], full[i]);
 }
 
+// ------------------------------------------------------ input validation ---
+
+TEST(FlowSim, StartRejectsOutOfRangeEndpointsWithoutSideEffects) {
+  sim::Engine eng;
+  auto fabric = small_dragonfly(net::Routing::Adaptive);
+  const int eps = fabric.topology().num_endpoints();
+  net::FlowSim fs(eng, fabric);
+  const std::uint64_t first = fs.start(0, eps - 1, 1e9, [] {});
+  const auto stats = fs.stats();
+  const auto pending = eng.pending_events();
+  for (const auto& [src, dst] : std::vector<std::pair<int, int>>{
+           {-1, 1}, {0, -1}, {eps, 1}, {0, eps}, {eps + 7, eps}}) {
+    EXPECT_THROW(fs.start(src, dst, 1e9, [] {}), std::out_of_range)
+        << src << " -> " << dst;
+  }
+  EXPECT_EQ(fs.active_flows(), 1u);
+  EXPECT_TRUE(fs.stats() == stats);
+  EXPECT_EQ(eng.pending_events(), pending);
+  // The next valid start takes the next id, and both flows complete.
+  EXPECT_EQ(fs.start(1, eps - 2, 1e9, [] {}), first + 1);
+  EXPECT_EQ(fs.active_flows(), 2u);
+  eng.run();
+  EXPECT_EQ(fs.active_flows(), 0u);
+}
+
 // ------------------------------------------------------------ rate floor ---
 
 TEST(FlowSim, FlowOverDownedLinkStallsVisiblyInsteadOfTrickling) {

@@ -12,6 +12,7 @@
 #include "net/flowsim.hpp"
 #include "net/patterns.hpp"
 #include "net/solver.hpp"
+#include "obs/metrics.hpp"
 #include "sim/units.hpp"
 #include "topo/topology.hpp"
 
@@ -573,6 +574,68 @@ TEST(FabricManager, SharedSnapshotSessionsAreIsolated) {
   // vector (no private copy until B's own first mutation).
   EXPECT_EQ(&b.effective_capacities(), &snap->base_capacities());
   EXPECT_NE(&a.effective_capacities(), &snap->base_capacities());
+}
+
+// `net.route_cache.overlay_reroute` counts exactly the minimal routes that
+// detour because the overlay failed their direct Global bundle: never on a
+// clean overlay, never for Local or terminal failures, and never when the
+// detour search finds no live route and throws.
+TEST(FabricManager, OverlayRerouteCountsFailedGlobalDetours) {
+  net::FabricConfig cfg;
+  cfg.routing = net::Routing::Minimal;
+  net::Fabric f(topo::Topology::uniform_dragonfly(3, {4, 4}, 1, 25e9, 180e-9),
+                cfg);
+  const auto& t = f.topology();
+  const int eps = t.num_endpoints();
+  const auto reroutes = [] {
+    return obs::metrics().counter("net.route_cache.overlay_reroute").value();
+  };
+  // Routes every ordered pair; returns how many cross a failed direct bundle.
+  sim::Rng rng(5);
+  const auto route_all = [&] {
+    std::uint64_t broken = 0;
+    for (int a = 0; a < eps; ++a)
+      for (int b = 0; b < eps; ++b) {
+        if (a == b) continue;
+        const int ga = t.group_of_endpoint(a);
+        const int gb = t.group_of_endpoint(b);
+        if (ga != gb && f.is_failed(t.global_link(ga, gb))) ++broken;
+        f.route(a, b, rng);
+      }
+    return broken;
+  };
+
+  auto r0 = reroutes();
+  EXPECT_EQ(route_all(), 0u);
+  EXPECT_EQ(reroutes(), r0) << "clean overlay";
+
+  ASSERT_TRUE(f.fail_link(t.switch_link(0, 1)));
+  ASSERT_TRUE(f.fail_link(t.injection_link(0)));
+  ASSERT_TRUE(f.fail_link(t.ejection_link(eps - 1)));
+  EXPECT_EQ(route_all(), 0u);
+  EXPECT_EQ(reroutes(), r0) << "Local and terminal failures";
+
+  const int gl01 = t.global_link(0, 1);
+  ASSERT_TRUE(f.fail_link(gl01));
+  r0 = reroutes();
+  const std::uint64_t broken = route_all();
+  EXPECT_EQ(broken, 16u * 16u);  // every group-0 -> group-1 pair
+  EXPECT_EQ(reroutes() - r0, broken);
+
+  // With 0->1 and 0->2 both down, group 0 has no live route to group 1.
+  const int gl02 = t.global_link(0, 2);
+  ASSERT_TRUE(f.fail_link(gl02));
+  const int a = 0, b = 16;
+  ASSERT_EQ(t.group_of_endpoint(b), 1);
+  r0 = reroutes();
+  EXPECT_THROW(f.route(a, b, rng), std::runtime_error);
+  EXPECT_EQ(reroutes(), r0) << "a failed detour search is not a reroute";
+  // Restoring 0->2 reopens the detour through group 2: one more reroute.
+  ASSERT_TRUE(f.restore_link(gl02));
+  const auto p = f.route(a, b, rng);
+  EXPECT_EQ(reroutes() - r0, 1u);
+  EXPECT_EQ(std::count(p.begin(), p.end(), gl01), 0);
+  EXPECT_EQ(std::count(p.begin(), p.end(), gl02), 1);
 }
 
 }  // namespace

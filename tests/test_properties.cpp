@@ -378,39 +378,33 @@ TEST_P(GpcnetPpn, ImpactNeverBelowOneAndGrowsWithPpn) {
 
 INSTANTIATE_TEST_SUITE_P(Ppn, GpcnetPpn, ::testing::Values(4, 8, 16, 32));
 
-// ------------------------------------------------- route cache properties ---
-// Invariants of minimal routing and of the fabric route cache (ISSUE 5): a
-// route is non-empty and duplicate-free, a minimal dragonfly route crosses at
-// most 3 switch-to-switch links of which at most 1 is global, and a cached
-// route is identical to one computed by a cache-disabled fabric — before a
-// failure, while a link is down, and after it is restored.
+// ---------------------------------------------------- routing properties ---
+// Invariants of minimal routing: a route is non-empty and duplicate-free,
+// starts at the source's injection link and ends at the destination's
+// ejection link, and a minimal dragonfly route crosses at most 3
+// switch-to-switch links of which at most 1 is global. A failed global bundle
+// is detoured around and restore brings the original route back; a terminal
+// failure never changes a route.
 
-class RouteCacheProperty : public ::testing::TestWithParam<int> {};
+class RoutingProperty : public ::testing::TestWithParam<int> {};
 
-TEST_P(RouteCacheProperty, CachedEqualsFreshAndMinimalInvariantsHold) {
+TEST_P(RoutingProperty, MinimalInvariantsHoldUnderFailures) {
   const int groups = GetParam();
-  const auto build = [&](bool cache) {
-    net::FabricConfig cfg;
-    cfg.routing = net::Routing::Minimal;
-    cfg.route_cache = cache;
-    return net::Fabric(
-        topo::Topology::uniform_dragonfly(groups, {4, 4}, 1, 25e9, 180e-9), cfg);
-  };
-  net::Fabric cached = build(true);
-  net::Fabric fresh = build(false);
-  const auto& t = cached.topology();
+  net::FabricConfig cfg;
+  cfg.routing = net::Routing::Minimal;
+  net::Fabric fabric(
+      topo::Topology::uniform_dragonfly(groups, {4, 4}, 1, 25e9, 180e-9), cfg);
+  const auto& t = fabric.topology();
   const int eps = t.num_endpoints();
-  sim::Rng rng_a(99), rng_b(99);
+  sim::Rng rng(99);
 
   const auto check_pair = [&](int a, int b) {
-    const auto pc = cached.route(a, b, rng_a);
-    const auto pf = fresh.route(a, b, rng_b);
-    ASSERT_EQ(pc, pf) << "src=" << a << " dst=" << b;
-    ASSERT_FALSE(pc.empty());
-    std::set<int> uniq(pc.begin(), pc.end());
-    EXPECT_EQ(uniq.size(), pc.size()) << "duplicate link in route";
+    const auto p = fabric.route(a, b, rng);
+    ASSERT_FALSE(p.empty()) << "src=" << a << " dst=" << b;
+    std::set<int> uniq(p.begin(), p.end());
+    EXPECT_EQ(uniq.size(), p.size()) << "duplicate link in route";
     int switch_hops = 0, global_hops = 0;
-    for (int l : pc) {
+    for (int l : p) {
       const auto kind = t.link(l).kind;
       if (kind == topo::LinkKind::Local || kind == topo::LinkKind::Global)
         ++switch_hops;
@@ -418,12 +412,11 @@ TEST_P(RouteCacheProperty, CachedEqualsFreshAndMinimalInvariantsHold) {
     }
     EXPECT_LE(switch_hops, 3);
     EXPECT_LE(global_hops, 1);
-    EXPECT_EQ(t.link(pc.front()).src, a);
-    EXPECT_EQ(t.link(pc.back()).dst, b);
+    EXPECT_EQ(t.link(p.front()).src, a);
+    EXPECT_EQ(t.link(p.back()).dst, b);
   };
 
-  // Deterministic sample plus a random sample of endpoint pairs; repeat each
-  // pair so the second visit exercises the cache-hit path.
+  // Deterministic sample plus a random sample of endpoint pairs.
   sim::Rng pick(7);
   for (int trial = 0; trial < 120; ++trial) {
     int a, b;
@@ -436,82 +429,44 @@ TEST_P(RouteCacheProperty, CachedEqualsFreshAndMinimalInvariantsHold) {
     }
     if (a == b) continue;
     check_pair(a, b);
-    check_pair(a, b);
   }
 
-  // Fail the global link on a cross-group minimal route: both fabrics must
-  // agree on the detour while it is down and return to the original route
-  // after restore (the cache is invalidated wholesale both times). Needs a
-  // third group to detour through.
+  // Fail the global link on a cross-group minimal route: the route detours
+  // around it while it is down and returns to the original after restore.
+  // Needs a third group to detour through.
   if (groups < 3) return;
   const int a = 0, b = eps - 1;
-  const auto before = cached.route(a, b, rng_a);
+  const auto before = fabric.route(a, b, rng);
   int global_id = -1;
   for (int l : before)
     if (t.link(l).kind == topo::LinkKind::Global) global_id = l;
   ASSERT_GE(global_id, 0);
-  cached.fail_link(global_id);
-  fresh.fail_link(global_id);
-  const auto during_c = cached.route(a, b, rng_a);
-  const auto during_f = fresh.route(a, b, rng_b);
-  EXPECT_EQ(during_c, during_f);
-  EXPECT_NE(during_c, before);  // detours around the failed bundle
-  for (int l : during_c) EXPECT_NE(l, global_id);
-  cached.restore_link(global_id);
-  fresh.restore_link(global_id);
-  EXPECT_EQ(cached.route(a, b, rng_a), before);
-  EXPECT_EQ(fresh.route(a, b, rng_b), before);
+  fabric.fail_link(global_id);
+  const auto during = fabric.route(a, b, rng);
+  EXPECT_NE(during, before);  // detours around the failed bundle
+  for (int l : during) EXPECT_NE(l, global_id);
+  fabric.restore_link(global_id);
+  EXPECT_EQ(fabric.route(a, b, rng), before);
 
-  // Terminal failures (ISSUE 7 satellite 2): failing an Injection/Ejection
-  // link zeroes its capacity but never changes where packets are steered, so
-  // it must NOT invalidate the switch-pair route table. Routes stay cached ==
-  // fresh, identical to the pre-failure route, and re-querying already-cached
-  // pairs takes zero new cache misses while the terminal link is down.
+  // Terminal failures zero the link's capacity but never change where
+  // packets are steered.
   const int eject_b = t.ejection_link(b);
   ASSERT_EQ(t.link(eject_b).kind, topo::LinkKind::Ejection);
-  const auto misses = [] {
-    return obs::metrics().counter("net.route_cache.miss").value();
-  };
-  const auto sweep = [&] {
-    for (int trial = 0; trial < 40; ++trial) {
-      const int p = trial % eps;
-      const int q = (p + 1 + trial / 2) % eps;
-      if (p == q) continue;
-      check_pair(p, q);
-    }
-  };
-  // The endpoint-pair table is direct-mapped, so colliding keys evict each
-  // other deterministically; measure the sweep's steady-state miss cost and
-  // require the terminal failure not to add to it.
-  sweep();  // re-warm anything the random sample evicted earlier
-  const auto m0 = misses();
-  sweep();
-  const auto steady_misses = misses() - m0;
-  cached.fail_link(eject_b);
-  fresh.fail_link(eject_b);
-  const auto term_c = cached.route(a, b, rng_a);
-  const auto term_f = fresh.route(a, b, rng_b);
-  EXPECT_EQ(term_c, term_f);
-  EXPECT_EQ(term_c, before);  // steering unchanged: only capacity is gone
-  const auto m1 = misses();
-  sweep();
-  EXPECT_EQ(misses() - m1, steady_misses)
-      << "terminal-link failure invalidated the route cache";
-  cached.restore_link(eject_b);
-  fresh.restore_link(eject_b);
-  EXPECT_EQ(cached.route(a, b, rng_a), before);
+  fabric.fail_link(eject_b);
+  EXPECT_EQ(fabric.route(a, b, rng), before);
+  fabric.restore_link(eject_b);
+  EXPECT_EQ(fabric.route(a, b, rng), before);
 }
 
-INSTANTIATE_TEST_SUITE_P(Sizes, RouteCacheProperty, ::testing::Values(2, 4, 9, 17));
+INSTANTIATE_TEST_SUITE_P(Sizes, RoutingProperty, ::testing::Values(2, 4, 9, 17));
 
-// Route-cache contract across topology families (ISSUE 9 satellite 1): the
-// universal invariants — cached == fresh routes, non-empty, duplicate-free,
-// correct terminal links, and terminal-link failures never invalidating the
-// switch-pair route table — hold on every family; the hop-structure bound is
-// family-specific (a dragonfly minimal route crosses at most 3 switch links
-// of which at most 1 is global; a fat-tree route crosses exactly 0 or 2 Core
-// links and nothing else; a full-coverage rotor route crosses at most 1
-// Global link and no Core/Local ones).
+// Routing contract across topology families: the universal invariants —
+// non-empty, duplicate-free, correct terminal links, and terminal-link
+// failures never changing a route — hold on every family; the hop-structure
+// bound is family-specific (a dragonfly minimal route crosses at most 3
+// switch links of which at most 1 is global; a fat-tree route crosses exactly
+// 0 or 2 Core links and nothing else; a full-coverage rotor route crosses at
+// most 1 Global link and no Core/Local ones).
 
 struct RouteFamily {
   const char* name;
@@ -536,32 +491,24 @@ topo::Topology route_family_rotor() {
   return topo::Topology::rotor(10, 8, 9, 250e-6, 0.9, 25e9, 180e-9);
 }
 
-class RouteCacheFamilyProperty
-    : public ::testing::TestWithParam<RouteFamily> {};
+class RoutingFamilyProperty : public ::testing::TestWithParam<RouteFamily> {};
 
-TEST_P(RouteCacheFamilyProperty, UniversalInvariantsAndFamilyHopBounds) {
+TEST_P(RoutingFamilyProperty, UniversalInvariantsAndFamilyHopBounds) {
   const RouteFamily fam = GetParam();
-  const auto build = [&](bool cache) {
-    net::FabricConfig cfg;
-    cfg.routing = net::Routing::Minimal;
-    cfg.route_cache = cache;
-    return net::Fabric(fam.make(), cfg);
-  };
-  net::Fabric cached = build(true);
-  net::Fabric fresh = build(false);
-  const auto& t = cached.topology();
+  net::FabricConfig cfg;
+  cfg.routing = net::Routing::Minimal;
+  net::Fabric fabric(fam.make(), cfg);
+  const auto& t = fabric.topology();
   const int eps = t.num_endpoints();
-  sim::Rng rng_a(99), rng_b(99);
+  sim::Rng rng(99);
 
   const auto check_pair = [&](int a, int b) {
-    const auto pc = cached.route(a, b, rng_a);
-    const auto pf = fresh.route(a, b, rng_b);
-    ASSERT_EQ(pc, pf) << fam.name << " src=" << a << " dst=" << b;
-    ASSERT_FALSE(pc.empty());
-    std::set<int> uniq(pc.begin(), pc.end());
-    EXPECT_EQ(uniq.size(), pc.size()) << fam.name << ": duplicate link";
+    const auto p = fabric.route(a, b, rng);
+    ASSERT_FALSE(p.empty()) << fam.name << " src=" << a << " dst=" << b;
+    std::set<int> uniq(p.begin(), p.end());
+    EXPECT_EQ(uniq.size(), p.size()) << fam.name << ": duplicate link";
     int local = 0, global = 0, core = 0;
-    for (int l : pc) {
+    for (int l : p) {
       switch (t.link(l).kind) {
         case topo::LinkKind::Local: ++local; break;
         case topo::LinkKind::Global: ++global; break;
@@ -573,23 +520,22 @@ TEST_P(RouteCacheFamilyProperty, UniversalInvariantsAndFamilyHopBounds) {
       EXPECT_EQ(local, 0) << fam.name;
       EXPECT_EQ(global, 0) << fam.name;
       EXPECT_TRUE(core == 0 || core == 2) << fam.name << " core=" << core;
-      EXPECT_EQ(pc.size(), static_cast<std::size_t>(2 + core)) << fam.name;
+      EXPECT_EQ(p.size(), static_cast<std::size_t>(2 + core)) << fam.name;
     } else if (t.is_rotor()) {
       EXPECT_EQ(local, 0) << fam.name;
       EXPECT_EQ(core, 0) << fam.name;
       EXPECT_LE(global, 1) << fam.name;
-      EXPECT_EQ(pc.size(), static_cast<std::size_t>(2 + global)) << fam.name;
+      EXPECT_EQ(p.size(), static_cast<std::size_t>(2 + global)) << fam.name;
     } else {
       EXPECT_LE(local + global, 3) << fam.name;
       EXPECT_LE(global, 1) << fam.name;
       EXPECT_EQ(core, 0) << fam.name;
     }
-    EXPECT_EQ(t.link(pc.front()).src, a);
-    EXPECT_EQ(t.link(pc.back()).dst, b);
+    EXPECT_EQ(t.link(p.front()).src, a);
+    EXPECT_EQ(t.link(p.back()).dst, b);
   };
 
-  // Deterministic same-switch/neighbour pairs, then a random cross sample;
-  // each pair queried twice so the second visit rides the cache-hit path.
+  // Deterministic same-switch/neighbour pairs, then a random cross sample.
   sim::Rng pick(7);
   for (int trial = 0; trial < 120; ++trial) {
     int a, b;
@@ -602,41 +548,30 @@ TEST_P(RouteCacheFamilyProperty, UniversalInvariantsAndFamilyHopBounds) {
     }
     if (a == b) continue;
     check_pair(a, b);
-    check_pair(a, b);
   }
 
   // Terminal failures zero capacity but never steer packets elsewhere, on
-  // every family: the switch-pair route table must survive untouched.
-  const int a = 0, b = eps - 1;
-  const auto before = cached.route(a, b, rng_a);
-  const int eject_b = t.ejection_link(b);
-  ASSERT_EQ(t.link(eject_b).kind, topo::LinkKind::Ejection);
-  const auto misses = [] {
-    return obs::metrics().counter("net.route_cache.miss").value();
-  };
+  // every family: neither the failed pair nor a sweep of neighbour pairs
+  // changes route.
   const auto sweep = [&] {
+    std::vector<std::vector<int>> routes;
     for (int trial = 0; trial < 40; ++trial) {
       const int p = trial % eps;
       const int q = (p + 1 + trial / 2) % eps;
-      if (p == q) continue;
-      check_pair(p, q);
+      if (p != q) routes.push_back(fabric.route(p, q, rng));
     }
+    return routes;
   };
-  sweep();  // re-warm anything the random sample evicted
-  const auto m0 = misses();
-  sweep();
-  const auto steady_misses = misses() - m0;
-  cached.fail_link(eject_b);
-  fresh.fail_link(eject_b);
-  EXPECT_EQ(cached.route(a, b, rng_a), before);
-  EXPECT_EQ(fresh.route(a, b, rng_b), before);
-  const auto m1 = misses();
-  sweep();
-  EXPECT_EQ(misses() - m1, steady_misses)
-      << fam.name << ": terminal-link failure invalidated the route cache";
-  cached.restore_link(eject_b);
-  fresh.restore_link(eject_b);
-  EXPECT_EQ(cached.route(a, b, rng_a), before);
+  const int a = 0, b = eps - 1;
+  const auto before = fabric.route(a, b, rng);
+  const auto sweep_before = sweep();
+  const int eject_b = t.ejection_link(b);
+  ASSERT_EQ(t.link(eject_b).kind, topo::LinkKind::Ejection);
+  fabric.fail_link(eject_b);
+  EXPECT_EQ(fabric.route(a, b, rng), before) << fam.name;
+  EXPECT_EQ(sweep(), sweep_before) << fam.name;
+  fabric.restore_link(eject_b);
+  EXPECT_EQ(fabric.route(a, b, rng), before) << fam.name;
 }
 
 // The dense routing index (switch_link / global_link / gateway_switch /
@@ -644,7 +579,7 @@ TEST_P(RouteCacheFamilyProperty, UniversalInvariantsAndFamilyHopBounds) {
 // by its endpoints, every Global link by its groups with its source as the
 // gateway, and sampled switch pairs and every group pair without a link
 // answer -1.
-TEST_P(RouteCacheFamilyProperty, DenseIndexMatchesLinkList) {
+TEST_P(RoutingFamilyProperty, DenseIndexMatchesLinkList) {
   const RouteFamily fam = GetParam();
   const topo::Topology t = fam.make();
   std::set<std::pair<int, int>> switch_pairs;
@@ -700,7 +635,7 @@ TEST_P(RouteCacheFamilyProperty, DenseIndexMatchesLinkList) {
 }
 
 INSTANTIATE_TEST_SUITE_P(
-    Families, RouteCacheFamilyProperty,
+    Families, RoutingFamilyProperty,
     ::testing::Values(RouteFamily{"frontier", route_family_frontier},
                       RouteFamily{"dragonfly", route_family_dragonfly},
                       RouteFamily{"fat_tree", route_family_fat_tree},

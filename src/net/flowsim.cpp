@@ -14,6 +14,15 @@
 
 namespace xscale::net {
 
+namespace {
+// A component re-solve replays its ledger prefix only when at least this many
+// recorded levels lie below the cut: grouping the prefix costs O(members)
+// before any level is skipped, which a one-level prefix does not pay back
+// (DESIGN.md §9 gives the measured shares). A property of the input, not a
+// tuning knob.
+constexpr int kMinComponentReplayLevels = 2;
+}  // namespace
+
 void FlowSim::ensure_sized() {
   const std::size_t n = fabric_.topology().links().size();
   if (link_load_.size() == n) return;
@@ -73,7 +82,17 @@ std::uint64_t FlowSim::start(int src, int dst, double bytes, Done on_done) {
 
 std::uint64_t FlowSim::start_on_path(std::vector<int> path, double bytes,
                                      Done on_done) {
-  assert(!path.empty());
+  // Checked before any state changes: a bad id would index the per-link
+  // arrays out of bounds, and an empty path would sit active forever at
+  // rate 0.
+  if (path.empty())
+    throw std::invalid_argument("FlowSim::start_on_path: empty path");
+  const auto n = static_cast<int>(fabric_.topology().links().size());
+  for (int l : path)
+    if (l < 0 || l >= n)
+      throw std::out_of_range("FlowSim::start_on_path: link id " +
+                              std::to_string(l) + " out of range [0, " +
+                              std::to_string(n) + ")");
   ensure_sized();
   const int slot = alloc_slot();
   slots_[static_cast<std::size_t>(slot)].path = std::move(path);
@@ -108,6 +127,13 @@ std::uint64_t FlowSim::start_slot(int slot, double bytes, Done on_done) {
   if (pending_uniform_ && eng_.now() != pending_time_) materialize_pending();
   Flow& f = slots_[static_cast<std::size_t>(slot)];
   assert(!f.path.empty());
+  if (ledger_pass_.size() < slots_.size()) {
+    ledger_pass_.resize(slots_.size(), 0);
+    ledger_level_.resize(slots_.size(), 0);
+  }
+  ledger_pass_[static_cast<std::size_t>(slot)] = 0;  // a reused slot's stamp
+  ++delta_.arrivals;
+  delta_.arrival_slot = slot;
   const std::uint64_t id = next_id_++;
   const double total = std::max(bytes, 1.0);
   f.id = id;
@@ -121,7 +147,6 @@ std::uint64_t FlowSim::start_slot(int slot, double bytes, Done on_done) {
   f.on_done = std::move(on_done);
   ++active_count_;
   active_order_.push_back(slot);  // ids are monotonic: append keeps id order
-  delta_has_add_ = true;
   obs::tracer().instant("net", "flow_start", eng_.now(),
                         {{"flow", static_cast<double>(id)},
                          {"bytes", total},
@@ -158,7 +183,18 @@ void FlowSim::insert_flow_links(int slot, const Flow& f) {
 
 void FlowSim::remove_flow(int slot) {
   Flow& f = slots_[static_cast<std::size_t>(slot)];
-  warm_record_removal(slot);
+  // Ledger delta: a removal-only replay needs every removed flow from one
+  // live pass, and cuts at the lowest level among them (DESIGN.md §9).
+  const std::uint64_t stamp = ledger_pass_[static_cast<std::size_t>(slot)];
+  const int level = ledger_level_[static_cast<std::size_t>(slot)];
+  if (delta_.removed++ == 0) {
+    delta_.pass = stamp;
+    delta_.min_level = level;
+  } else {
+    delta_.mixed |= stamp != delta_.pass;
+    delta_.min_level = std::min(delta_.min_level, level);
+  }
+  delta_.mixed |= stamp <= ledger_floor_;
   const auto id_less = [this](int s, std::uint64_t id) {
     return slots_[static_cast<std::size_t>(s)].id < id;
   };
@@ -312,7 +348,62 @@ void FlowSim::component_from(int seed) {
   });
 }
 
+int FlowSim::ledger_prefix(const std::vector<int>& members,
+                           bool allow_arrival, int* arrival) {
+  *arrival = -1;
+  if (delta_.mixed) return 0;
+  std::uint64_t pass = 0;
+  int cut = std::numeric_limits<int>::max();
+  if (delta_.removed > 0 && delta_.arrivals == 0) {
+    pass = delta_.pass;  // removal-only: replay the levels below k*
+    cut = delta_.min_level;
+  } else if (!(delta_.removed == 0 && delta_.arrivals == 1 && allow_arrival)) {
+    return 0;  // anything but removal-only or one arrival solves cold
+  }
+  // Every member but the arrival must carry one live stamp (for an arrival,
+  // whichever pass its first member carries).
+  int max_level = 0;
+  for (std::size_t i = 0; i < members.size(); ++i) {
+    const auto su = static_cast<std::size_t>(members[i]);
+    if (delta_.arrivals == 1 && members[i] == delta_.arrival_slot) {
+      *arrival = static_cast<int>(i);
+      continue;
+    }
+    if (pass == 0) pass = ledger_pass_[su];
+    if (ledger_pass_[su] != pass) return 0;
+    if (ledger_level_[su] < cut) max_level = std::max(max_level, ledger_level_[su]);
+  }
+  if (pass <= ledger_floor_ || max_level == 0) return 0;
+  if (delta_.arrivals == 1 && *arrival < 0) return 0;
+  // Renumber the recorded levels below the cut densely, in order: members
+  // of other components froze at the levels that are missing here, and the
+  // cold solve of these members never runs those iterations.
+  if (level_rank_.size() < static_cast<std::size_t>(max_level) + 1)
+    level_rank_.resize(static_cast<std::size_t>(max_level) + 1);
+  std::fill(level_rank_.begin(), level_rank_.begin() + max_level + 1, 0);
+  replay_level_.resize(members.size());
+  for (std::size_t i = 0; i < members.size(); ++i) {
+    const int lvl = ledger_level_[static_cast<std::size_t>(members[i])];
+    const bool in_prefix = static_cast<int>(i) != *arrival && lvl < cut;
+    replay_level_[i] = in_prefix ? lvl : 0;
+    if (in_prefix) level_rank_[static_cast<std::size_t>(lvl)] = 1;
+  }
+  int levels = 0;
+  for (std::size_t l = 1; l <= static_cast<std::size_t>(max_level); ++l)
+    if (level_rank_[l]) level_rank_[l] = ++levels;
+  for (int& lvl : replay_level_)
+    if (lvl > 0) lvl = level_rank_[static_cast<std::size_t>(lvl)];
+  return levels;
+}
+
 void FlowSim::solve_component(const std::vector<int>& comp, SolveStats* ss) {
+  // Replay the ledger prefix this resolve's delta leaves intact (DESIGN.md
+  // §9) when it spans enough levels to pay for the grouping.
+  int arrival = -1;
+  const std::size_t lvl_cap = replay_level_.capacity();
+  const std::size_t rank_cap = level_rank_.capacity();
+  const int levels = ledger_prefix(comp, true, &arrival);
+  const bool use_prefix = levels >= kMinComponentReplayLevels;
   // Pack a compact sub-problem into the persistent CSR arena: only the
   // component's links, densely renumbered in first-encounter order
   // (ascending flow id), which makes the restricted solve's arithmetic
@@ -325,11 +416,15 @@ void FlowSim::solve_component(const std::vector<int>& comp, SolveStats* ss) {
   const std::size_t ids_cap = comp_csr_.link_ids.capacity();
   const std::size_t off_cap = comp_csr_.offsets.capacity();
   const std::size_t rates_cap = comp_rates_.capacity();
+  const std::size_t prev_cap = comp_prev_rate_.capacity();
+  const std::size_t levels_cap = comp_levels_.capacity();
   comp_caps_.clear();
   comp_csr_.clear();
+  comp_prev_rate_.clear();
   const auto& caps = fabric_.effective_capacities();
   for (int s : comp) {
     const Flow& f = slots_[static_cast<std::size_t>(s)];
+    if (use_prefix) comp_prev_rate_.push_back(f.rate);
     for (int l : f.path) {
       const auto lu = static_cast<std::size_t>(l);
       if (link_remap_epoch_[lu] != remap_epoch_) {
@@ -342,8 +437,21 @@ void FlowSim::solve_component(const std::vector<int>& comp, SolveStats* ss) {
     comp_csr_.end_path();
   }
   comp_rates_.resize(comp.size());
+  comp_levels_.resize(comp.size());
+  const FreezePrefix prefix{replay_level_.data(), comp_prev_rate_.data(),
+                            levels, arrival};
   max_min_rates_csr(comp_caps_.data(), comp_caps_.size(), comp_csr_, nullptr,
-                    comp_rates_.data(), ss, solve_scratch_);
+                    comp_rates_.data(), ss, solve_scratch_,
+                    use_prefix ? &prefix : nullptr, comp_levels_.data());
+  // This solve is the members' new ledger entry.
+  const std::uint64_t pass = ++pass_;
+  for (std::size_t i = 0; i < comp.size(); ++i) {
+    const auto su = static_cast<std::size_t>(comp[i]);
+    ledger_pass_[su] = pass;
+    ledger_level_[su] = comp_levels_[i];
+  }
+  if (ss->replayed_flows > 0) ++stats_.component_prefix_hits;
+  stats_.replayed_flows += static_cast<std::uint64_t>(ss->replayed_flows);
   // A steady-state re-solve touches no allocator at all; count it. (The
   // count is thread-count independent — everything here runs on the
   // simulator's own thread against its own buffers.)
@@ -351,7 +459,11 @@ void FlowSim::solve_component(const std::vector<int>& comp, SolveStats* ss) {
                     comp_caps_.capacity() != caps_cap ||
                     comp_csr_.link_ids.capacity() != ids_cap ||
                     comp_csr_.offsets.capacity() != off_cap ||
-                    comp_rates_.capacity() != rates_cap;
+                    comp_rates_.capacity() != rates_cap ||
+                    comp_prev_rate_.capacity() != prev_cap ||
+                    comp_levels_.capacity() != levels_cap ||
+                    replay_level_.capacity() != lvl_cap ||
+                    level_rank_.capacity() != rank_cap;
   static obs::Counter& reuse =
       obs::metrics().counter("net.solver.scratch_reuse");
   if (!grew) reuse.inc();
@@ -374,22 +486,6 @@ void FlowSim::solve_component(const std::vector<int>& comp, SolveStats* ss) {
     }
   }
   note_writeback(applied, static_cast<std::uint64_t>(comp.size()) - applied);
-}
-
-void FlowSim::warm_record_removal(int slot) {
-  // Extends the delta record consumed by the next warm solve's frozen-prefix
-  // replay (DESIGN.md §9). Only meaningful while the previous resolve was a
-  // warm solve whose metadata is still current.
-  if (!warm_meta_ok_) return;
-  const auto su = static_cast<std::size_t>(slot);
-  if (su < warm_frozen_.size() && warm_frozen_[su] == warm_pass_) {
-    const int lvl = warm_level_[su];
-    if (delta_min_level_ == 0 || lvl < delta_min_level_) delta_min_level_ = lvl;
-  } else {
-    // The flow never went through the last warm solve, so its freeze level
-    // is unknown and the prefix invariant cannot be established.
-    delta_meta_broken_ = true;
-  }
 }
 
 bool FlowSim::warm_memo_lookup() {
@@ -791,7 +887,7 @@ void FlowSim::warm_solve(SolveStats* ss) {
   if (!sb_skip_full_ && warm_single_bottleneck(ss)) {
     ++stats_.warm_single_hits;
     frontier_stat.add(0.0);
-    warm_meta_ok_ = false;  // no fresh freeze metadata this pass
+    retire_ledger();  // rates set without levels
     return;
   }
 
@@ -804,14 +900,12 @@ void FlowSim::warm_solve(SolveStats* ss) {
   if (warm_memo_lookup()) {
     ++stats_.warm_memo_hits;
     frontier_stat.add(0.0);
-    warm_meta_ok_ = false;  // no fresh freeze metadata this pass
+    retire_ledger();  // rates set without levels
     return;
   }
 
-  if (warm_frozen_.size() < slots_.size()) {
-    warm_frozen_.resize(slots_.size(), 0);
+  if (warm_batch_.size() < slots_.size()) {
     warm_batch_.resize(slots_.size(), 0);
-    warm_level_.resize(slots_.size(), 0);
     warm_rate_.resize(slots_.size(), 0.0);
   }
   const auto& caps = fabric_.effective_capacities();
@@ -874,12 +968,13 @@ void FlowSim::warm_solve(SolveStats* ss) {
     warm_links_.resize(w);
   };
 
-  ++warm_pass_;
+  // The prefix decision reads the ledger, so it precedes this pass's stamps.
+  int no_arrival = -1;
+  const int levels = ledger_prefix(active_order_, false, &no_arrival);
+  ++pass_;
   std::size_t remaining = members;
   std::int64_t iterations = 0;
   std::int64_t bottlenecks = 0;
-  warm_seq2_.clear();
-  warm_seq2_lvl_.clear();
   // Change-list: flows whose frozen rate will differ from the currently
   // applied one, recorded at freeze time (f.rate is untouched until the
   // final write-back, so the set_rate early-out condition evaluated here is
@@ -889,52 +984,48 @@ void FlowSim::warm_solve(SolveStats* ss) {
   // the early-out condition provably holds for them.
   changed_slots_.clear();
 
-  // Frozen-prefix replay, removal-only deltas: with k* the minimum freeze
-  // level among the flows removed since the previous warm solve, every
-  // freeze below level k* is provably bit-unchanged (DESIGN.md §9 gives the
-  // argument), so re-apply the stored freeze sequence instead of
-  // re-deriving it. `f.rate` still holds the previous solve's rate for
-  // every replayed flow — nothing between two warm solves rewrites rates.
+  // Frozen-prefix replay from the ledger, removal-only deltas: with k* the
+  // minimum freeze level among the removed flows, every freeze below level
+  // k* is provably bit-unchanged (DESIGN.md §9 gives the argument), so
+  // re-apply the recorded levels in order instead of re-deriving them.
+  // `f.rate` still holds the recorded rate of every replayed flow: every
+  // resolve that sets rates either writes the ledger or retires it.
   std::size_t replayed = 0;
-  if (warm_meta_ok_ && !delta_has_add_ && !delta_meta_broken_ &&
-      cap_epoch == warm_cap_epoch_ && delta_min_level_ > 1) {
-    const int k_star = delta_min_level_;
-    // Levels are nondecreasing along the freeze sequence, and entries at
-    // levels >= k* (which include every removed flow, hence possibly freed
-    // slots) are never touched.
-    for (std::size_t i = 0; i < warm_seq_.size() && warm_seq_lvl_[i] < k_star;
-         ++i) {
-      const int s = warm_seq_[i];
-      const auto su = static_cast<std::size_t>(s);
-      const Flow& f = slots_[su];
-      warm_frozen_[su] = warm_pass_;
-      warm_level_[su] = warm_seq_lvl_[i];
-      warm_rate_[su] = f.rate;
-      warm_seq2_.push_back(s);
-      warm_seq2_lvl_.push_back(warm_seq_lvl_[i]);
-      --remaining;
-      ++replayed;
-      for (int l : f.path) {
-        // Replayed flows' links are all in this epoch's encounter set, and
-        // no compaction has run yet, so the position is always live.
-        const auto p = static_cast<std::size_t>(
-            link_local_id_[static_cast<std::size_t>(l)]);
-        warm_resid_[p] -= f.rate;
-        warm_aw_[p] -= 1.0;
+  if (levels > 0) {
+    group_by_level(replay_level_.data(), members, levels, replay_off_,
+                   replay_order_);
+    for (int k = 1; k <= levels; ++k) {
+      for (int gi = replay_off_[static_cast<std::size_t>(k)];
+           gi < replay_off_[static_cast<std::size_t>(k) + 1]; ++gi) {
+        const int s = active_order_[static_cast<std::size_t>(
+            replay_order_[static_cast<std::size_t>(gi)])];
+        const auto su = static_cast<std::size_t>(s);
+        const Flow& f = slots_[su];
+        ledger_pass_[su] = pass_;
+        ledger_level_[su] = k;
+        warm_rate_[su] = f.rate;
+        for (int l : f.path) {
+          // Replayed flows' links are all in this epoch's encounter set, and
+          // no compaction has run yet, so the position is always live.
+          const auto p = static_cast<std::size_t>(
+              link_local_id_[static_cast<std::size_t>(l)]);
+          warm_resid_[p] -= f.rate;
+          warm_aw_[p] -= 1.0;
+        }
       }
     }
+    replayed = static_cast<std::size_t>(replay_off_[static_cast<std::size_t>(levels) + 1]);
+    remaining -= replayed;
     // One stable compaction reproduces the incremental per-iteration erases
     // the cold solve performs across the replayed levels (unit weights make
     // the threshold exact: active weights are whole numbers, so <= 1e-12
     // means exactly zero at every intermediate step too).
     compact_live();
-    // Iteration parity with the cold solve: it would have run k*-1 levels
-    // before reaching new work — or stopped at the last replayed level if
-    // the replay already froze every current member.
-    iterations = (remaining == 0 && !warm_seq2_lvl_.empty())
-                     ? warm_seq2_lvl_.back()
-                     : k_star - 1;
-    if (replayed > 0) ++stats_.warm_prefix_hits;
+    // Iteration parity with the cold solve: it runs exactly the replayed
+    // levels before reaching new work.
+    iterations = levels;
+    ++stats_.warm_prefix_hits;
+    stats_.replayed_flows += replayed;
   }
 
   const double inf = std::numeric_limits<double>::infinity();
@@ -975,20 +1066,18 @@ void FlowSim::warm_solve(SolveStats* ss) {
       std::size_t batch = 0;
       if (n_active >= tun.parallel_scan_threshold) {
         for (int s : on)
-          if (warm_frozen_[static_cast<std::size_t>(s)] != warm_pass_) ++batch;
+          if (ledger_pass_[static_cast<std::size_t>(s)] != pass_) ++batch;
       }
       if (batch < tun.parallel_update_min) {
         for (int s : on) {
           const auto su = static_cast<std::size_t>(s);
-          if (warm_frozen_[su] == warm_pass_) continue;
-          warm_frozen_[su] = warm_pass_;
-          warm_level_[su] = level;
+          if (ledger_pass_[su] == pass_) continue;
+          ledger_pass_[su] = pass_;
+          ledger_level_[su] = level;
           warm_rate_[su] = min_share;
           const Flow& ff = slots_[su];
           if (!(min_share == ff.rate && (min_share > 0.0 || ff.stalled)))
             changed_slots_.push_back(s);
-          warm_seq2_.push_back(s);
-          warm_seq2_lvl_.push_back(level);
           --remaining;
           for (int pl : slots_[su].path) {
             // Every link of a flow unfrozen until now still has unfrozen
@@ -1004,16 +1093,14 @@ void FlowSim::warm_solve(SolveStats* ss) {
         ++warm_batch_epoch_;
         for (int s : on) {
           const auto su = static_cast<std::size_t>(s);
-          if (warm_frozen_[su] == warm_pass_) continue;
-          warm_frozen_[su] = warm_pass_;
-          warm_level_[su] = level;
+          if (ledger_pass_[su] == pass_) continue;
+          ledger_pass_[su] = pass_;
+          ledger_level_[su] = level;
           warm_rate_[su] = min_share;
           warm_batch_[su] = warm_batch_epoch_;
           const Flow& ff = slots_[su];
           if (!(min_share == ff.rate && (min_share > 0.0 || ff.stalled)))
             changed_slots_.push_back(s);
-          warm_seq2_.push_back(s);
-          warm_seq2_lvl_.push_back(level);
           --remaining;
         }
         sim::parallel_for(
@@ -1033,17 +1120,8 @@ void FlowSim::warm_solve(SolveStats* ss) {
     compact_live();
   }
 
-  // Freeze metadata + memo for the next resolve's replay paths, then apply
-  // rates in ascending id order (set_rate early-outs keep accrual schedules
-  // bitwise aligned with the cold path).
-  warm_seq_.swap(warm_seq2_);
-  warm_seq_lvl_.swap(warm_seq2_lvl_);
-  warm_meta_ok_ = true;
-  warm_cap_epoch_ = cap_epoch;
-  delta_has_add_ = false;
-  delta_meta_broken_ = false;
-  delta_min_level_ = 0;
-
+  // Memo for the next resolve's replay path, then apply rates (set_rate
+  // early-outs keep accrual schedules bitwise aligned with the cold path).
   WarmMemo& m = memo_[memo_next_];
   memo_next_ ^= 1;
   m.valid = true;
@@ -1097,9 +1175,15 @@ void FlowSim::resolve_and_schedule() {
   if (active_count_ == 0) {
     clear_dirty();
     sb_valid_ = false;  // incidence changed with no verification to refresh it
+    delta_ = {};
     return;
   }
   ++stats_.resolves;
+  // Stamps recorded under other capacities describe another problem.
+  if (fabric_.capacity_epoch() != ledger_cap_epoch_) {
+    ledger_cap_epoch_ = fabric_.capacity_epoch();
+    retire_ledger();
+  }
 
   bool full = !cfg_.incremental;
   bool warm = false;
@@ -1123,7 +1207,7 @@ void FlowSim::resolve_and_schedule() {
         comp_slots_.clear();
         ++stats_.warm_solves;
         ++stats_.warm_single_hits;
-        warm_meta_ok_ = false;  // no fresh freeze metadata this pass
+        retire_ledger();  // rates set without levels
         static obs::Counter& warm_hits =
             obs::metrics().counter("net.solver.warmstart.hit");
         static obs::ShardedStats& frontier_stat =
@@ -1178,6 +1262,11 @@ void FlowSim::resolve_and_schedule() {
     // component order — same rates and same counts as the old
     // `max_min_rates_components` route, but a fallback solve now allocates
     // nothing once warm either.
+    //
+    // The reference path replays nothing: with every stamp retired first,
+    // no component finds a live prefix. The passes it records are per
+    // component, so the stamps it leaves are valid ledger entries.
+    retire_ledger();
     order_.clear();
     for (std::size_t s = 0; s < slots_.size(); ++s)
       if (slots_[s].id != 0) order_.push_back(static_cast<int>(s));
@@ -1197,12 +1286,10 @@ void FlowSim::resolve_and_schedule() {
       ss.parallel_scans += cs.parallel_scans;
     }
     comp_slots_ = order_;  // solved set, for the drop sweep below
-    warm_meta_ok_ = false;
   } else if (!comp_slots_.empty()) {
     ++stats_.component_solves;
     materialize_pending();  // solve_component compares and writes `f.rate`
     solve_component(comp_slots_, &ss);
-    warm_meta_ok_ = false;  // some rates changed outside the warm bookkeeping
   }
   const std::vector<int>& solved = warm ? active_order_ : comp_slots_;
   stats_.flows_solved += solved.size();
@@ -1266,6 +1353,7 @@ void FlowSim::resolve_and_schedule() {
     }
     static obs::Counter& drops = obs::metrics().counter("net.flows_dropped");
     drops.inc(dropped_slots_.size());
+    if (!dropped_slots_.empty()) retire_ledger();  // removed without a solve
   }
 
   const double now = eng_.now();
@@ -1334,6 +1422,10 @@ void FlowSim::resolve_and_schedule() {
   }
   // else: every active flow is stalled; nothing to schedule. They recover
   // when a future add/remove dirties their component after link repair.
+
+  // This resolve consumed the delta unless it found nothing to solve; then
+  // its removals stay on record for the next resolve's prefix decision.
+  if (warm || full || !comp_slots_.empty()) delta_ = {};
 
   if (stall_hook_ && !dropped_ids_.empty()) {
     // Steal the list: the hook may re-enter (start replacement flows) and

@@ -12,9 +12,13 @@
 // dirty link (flows in other components share no links with it, so their
 // max-min rates are provably unchanged — the global solution is the union of
 // per-component solutions). When the affected component exceeds a configured
-// fraction of the active set, it falls back to the full `max_min_rates`
-// solve, which also serves as the reference oracle in the differential tests
-// (tests/test_flowsim.cpp asserts bit-for-bit equality on randomized churn).
+// fraction of the active set, the whole active set is re-solved warm, in
+// place over the persistent incidence (`warm_start = false` makes that a
+// cold whole-set solve instead; `incremental = false` always solves the
+// whole set cold, and serves as the baseline of the differential tests in
+// tests/test_flowsim.cpp, which assert bit-for-bit equality on randomized
+// churn). Both the component and the warm re-solve re-freeze the levels
+// their delta cannot change from a per-flow freeze ledger (DESIGN.md §9).
 //
 // Storage is flat (DESIGN.md §8): flows live in a slot arena with a free
 // list, per-link incidence holds slot indices, and the restricted re-solve
@@ -53,8 +57,8 @@ struct FlowSimConfig {
   // Above the fallback fraction, re-solve the whole active set *in place*
   // over the persistently maintained flow/link incidence (warm start,
   // DESIGN.md §9): no BFS completion, no id sort, no CSR repack, plus a
-  // solution memo and a removal-only frozen-prefix replay. Rates are
-  // bit-identical to the cold path. `false` restores the PR 5 behaviour —
+  // solution memo and a removal-only replay from the freeze ledger. Rates
+  // are bit-identical to the cold path. `false` restores the PR 5 behaviour —
   // a cold full re-solve — which stays available as the reference oracle.
   bool warm_start = true;
   // Apply solver results through the change-list write-back (DESIGN.md §9):
@@ -117,6 +121,11 @@ class FlowSim {
     std::uint64_t warm_memo_stale = 0;   // memo generations skipped: epoch moved
     std::uint64_t warm_prefix_hits = 0;  // warm solves that replayed a prefix
     std::uint64_t component_solves = 0;  // restricted re-solves
+    // Restricted re-solves that re-froze a prefix from the freeze ledger.
+    std::uint64_t component_prefix_hits = 0;
+    // Flows re-frozen from the freeze ledger instead of water-filled, on
+    // the component and the warm path.
+    std::uint64_t replayed_flows = 0;
     std::uint64_t flows_solved = 0;      // flows handed to the solver, total
     std::uint64_t frontier_flows = 0;    // flows actually iterated warm-start
     std::uint64_t solver_iterations = 0;
@@ -189,11 +198,21 @@ class FlowSim {
   // provably exceeds the fallback threshold.
   void affected_component(double max_flows);
   // Whole-active-set warm-start solve (DESIGN.md §9): memo lookup, then
-  // removal-only frozen-prefix replay, then in-place water-filling over the
-  // persistent flow/link incidence. Bit-identical to the cold full solve.
+  // removal-only replay from the freeze ledger, then in-place water-filling
+  // over the persistent flow/link incidence. Bit-identical to the cold full
+  // solve.
   void warm_solve(SolveStats* ss);
-  void warm_record_removal(int slot);
   bool warm_memo_lookup();  // true on hit; rates already applied
+  // Freeze ledger (DESIGN.md §9). `retire_ledger` makes every recorded
+  // stamp stale at once. `ledger_prefix` decides from this resolve's delta
+  // whether `members` (ascending id) may replay a recorded prefix: it
+  // writes each member's renumbered prefix level (0 = not replayed) into
+  // `replay_level_` and returns the number of levels, 0 when the members
+  // must be solved cold. `*arrival` receives the arrival's member index
+  // (-1 if none); without `allow_arrival`, a delta with an arrival is cold.
+  void retire_ledger() { ledger_floor_ = pass_; }
+  int ledger_prefix(const std::vector<int>& members, bool allow_arrival,
+                    int* arrival);
   // Single-bottleneck closed form: if exactly one live link fires under the
   // water-filling cutoff computed against the *initial* state and every
   // active flow crosses it, the whole solve collapses to rate = min_share
@@ -265,23 +284,38 @@ class FlowSim {
   std::vector<double> warm_resid_;          // [position] residual capacity
   std::vector<double> warm_aw_;             // [position] unfrozen crossers
   std::vector<double> warm_rate_;           // [slot] rate solved this pass
-  std::vector<std::uint64_t> warm_frozen_;  // [slot] == warm_pass_: frozen
   std::vector<std::uint64_t> warm_batch_;   // [slot] parallel-update stamp
-  std::uint64_t warm_pass_ = 0;
   std::uint64_t warm_batch_epoch_ = 0;
-  // Frozen-prefix metadata from the previous warm solve (freeze order and
-  // 1-based freeze level per slot), valid while `warm_meta_ok_` holds and
-  // the delta since then is removal-only with min removed level > 1.
-  std::vector<int> warm_level_;     // [slot]
-  std::vector<int> warm_seq_;       // slots in freeze order
-  std::vector<int> warm_seq_lvl_;   // freeze level per warm_seq_ entry
-  std::vector<int> warm_seq2_;      // double buffer for prefix rebuild
-  std::vector<int> warm_seq2_lvl_;
-  bool warm_meta_ok_ = false;
-  std::uint64_t warm_cap_epoch_ = 0;
-  int delta_min_level_ = 0;      // 0 = no removals since last warm solve
-  bool delta_has_add_ = false;
-  bool delta_meta_broken_ = false;
+  // --- freeze ledger (DESIGN.md §9) --------------------------------------
+  // Per slot: the id of the solve pass that last froze the flow, and its
+  // 1-based level in that pass. Component and warm solves both write it;
+  // during a warm pass `ledger_pass_[slot] == pass_` doubles as the frozen
+  // flag. A stamp <= `ledger_floor_` is stale: resolves that set rates
+  // without levels, Drop sweeps and capacity-epoch moves retire every stamp
+  // at once by raising the floor.
+  std::vector<std::uint64_t> ledger_pass_;  // [slot]
+  std::vector<int> ledger_level_;           // [slot]
+  std::uint64_t pass_ = 0;
+  std::uint64_t ledger_floor_ = 0;
+  std::uint64_t ledger_cap_epoch_ = 0;
+  // Churn since the last resolve that solved: the removed flows' common
+  // pass and lowest level, and the arrivals. A resolve that finds nothing
+  // to solve keeps it, so removals accumulate until some solve consumes
+  // them.
+  struct Delta {
+    int removed = 0;
+    std::uint64_t pass = 0;  // common stamp of the removed flows
+    int min_level = 0;       // lowest level among the removed flows
+    bool mixed = false;      // a removed flow was stale or from another pass
+    int arrivals = 0;
+    int arrival_slot = -1;
+  } delta_;
+  std::vector<int> replay_level_;  // [member] renumbered prefix level
+  std::vector<int> level_rank_;    // [recorded level] renumbering table
+  std::vector<int> replay_off_;    // warm replay: level groups
+  std::vector<int> replay_order_;  //   over active_order_ positions
+  std::vector<double> comp_prev_rate_;  // [member] rate before this solve
+  std::vector<int> comp_levels_;        // [member] level in this solve
   // Two-generation solution memo keyed on the exact member path stream (id
   // order) + capacity epoch: repeated traffic shapes replay their rate
   // vector wholesale with an empty frontier.

@@ -191,14 +191,38 @@ void dsu_unite(std::vector<int>& parent, int a, int b) {
 
 }  // namespace
 
+bool group_by_level(const int* level, std::size_t n, int levels,
+                    std::vector<int>& off, std::vector<int>& order) {
+  const auto nl = static_cast<std::size_t>(levels);
+  bool grew = ensure(off, nl + 2);
+  grew |= ensure(order, n);
+  std::fill(off.begin(), off.begin() + static_cast<std::ptrdiff_t>(nl + 2), 0);
+  for (std::size_t f = 0; f < n; ++f)
+    if (level[f] > 0) ++off[static_cast<std::size_t>(level[f]) + 1];
+  for (std::size_t k = 1; k <= nl + 1; ++k) off[k] += off[k - 1];
+  // Fill through off[k + 1] as the cursor of group k; afterwards it has
+  // advanced to the group's end, which is where group k + 1 begins.
+  for (std::size_t f = 0; f < n; ++f)
+    if (level[f] > 0)
+      order[static_cast<std::size_t>(off[static_cast<std::size_t>(level[f])]++)] =
+          static_cast<int>(f);
+  for (std::size_t k = nl + 1; k > 0; --k) off[k] = off[k - 1];
+  off[0] = 0;
+  return grew;
+}
+
 void max_min_rates_csr(const double* capacities, std::size_t num_links,
                        const PathsCsr& paths, const double* weights,
                        double* rates_out, SolveStats* stats,
-                       SolveScratch& s) {
+                       SolveScratch& s, const FreezePrefix* prefix,
+                       int* levels_out) {
   const std::size_t nf = paths.num_flows();
   if (stats) *stats = SolveStats{};
   if (nf == 0) return;
   validate_flat(capacities, num_links, weights, nf);
+  if (prefix && prefix->levels <= 0) prefix = nullptr;
+  if (prefix && weights)
+    throw std::invalid_argument("max_min_rates_csr: a freeze prefix needs unit weights");
 
   const int* lids = paths.link_ids.data();
   const int* off = paths.offsets.data();
@@ -220,6 +244,17 @@ void max_min_rates_csr(const double* capacities, std::size_t num_links,
     s.active_links.reserve(num_links);
   }
   s.active_links.clear();
+  if (prefix) {
+    // Level groups first: they are a pure function of the prefix.
+    grew |= group_by_level(prefix->level, nf, prefix->levels, s.replay_off,
+                           s.replay_flow);
+    if (prefix->arrival >= 0) {
+      const auto a = static_cast<std::size_t>(prefix->arrival);
+      grew |= ensure(s.probe_count,
+                     static_cast<std::size_t>(off[a + 1] - off[a]) *
+                         static_cast<std::size_t>(prefix->levels + 1));
+    }
+  }
   // Recorded, not counted here: worker threads each warm a private scratch,
   // so a process-wide counter incremented per solve would depend on the
   // thread count and break the byte-identical metrics contract. Owners with
@@ -273,10 +308,108 @@ void max_min_rates_csr(const double* capacities, std::size_t num_links,
     return kernel(s.residual.data(), s.active_w.data(), b, e);
   };
 
+  // Tandem compaction: drop links with no remaining unfrozen flows,
+  // keeping positions dense and first-seen-ordered (what std::erase_if
+  // did for the id-indexed layout).
+  auto compact = [&] {
+    std::size_t w = 0;
+    for (std::size_t pi = 0; pi < s.active_links.size(); ++pi) {
+      const int l = s.active_links[pi];
+      if (s.active_w[pi] <= 1e-12) {
+        s.link_pos[static_cast<std::size_t>(l)] = -1;
+        continue;
+      }
+      s.active_links[w] = l;
+      s.residual[w] = s.residual[pi];
+      s.active_w[w] = s.active_w[pi];
+      s.link_pos[static_cast<std::size_t>(l)] = static_cast<int>(w);
+      ++w;
+    }
+    s.active_links.resize(w);
+  };
+
   std::size_t remaining = nf;
   std::int64_t iterations = 0;
   std::int64_t bottlenecks = 0;
   std::int64_t parallel_scans = 0;
+  std::int64_t replayed = 0;
+  if (prefix) {
+    // Re-freeze the recorded levels in order, each flow at its recorded
+    // rate, debiting its links — the arithmetic the cold loop would do for
+    // these levels (DESIGN.md §9). Within a level every rate is the level's
+    // share, so the subtraction order inside a group does not matter.
+    const int levels = prefix->levels;
+    const auto stride = static_cast<std::size_t>(levels + 1);
+    const int a = prefix->arrival;
+    const int a_b = a >= 0 ? off[a] : 0;
+    const int a_e = a >= 0 ? off[a + 1] : 0;
+    if (a >= 0) {
+      // Per arrival link, how many prefix flows of each level cross it.
+      std::fill(s.probe_count.begin(),
+                s.probe_count.begin() +
+                    static_cast<std::ptrdiff_t>(
+                        static_cast<std::size_t>(a_e - a_b) * stride),
+                0);
+      for (int i = a_b; i < a_e; ++i) {
+        const auto lu = static_cast<std::size_t>(lids[i]);
+        int* cnt = s.probe_count.data() + static_cast<std::size_t>(i - a_b) * stride;
+        for (int ti = s.t_off[lu]; ti < s.t_off[lu + 1]; ++ti)
+          ++cnt[prefix->level[static_cast<std::size_t>(
+              s.t_flow[static_cast<std::size_t>(ti)])]];
+      }
+    }
+    // Could an arrival link fire at level k's share? Its firing test reads
+    // the link after j of the level's J crossers froze earlier in the same
+    // sweep, for whichever j the sweep order yields — so every j is checked.
+    // Until the arrival freezes, its links keep an active weight >= 1 and
+    // are never compacted, so every position is live.
+    auto arrival_may_fire = [&](int k, double share) {
+      for (int i = a_b; i < a_e; ++i) {
+        const auto p = static_cast<std::size_t>(
+            s.link_pos[static_cast<std::size_t>(lids[i])]);
+        double r = s.residual[p];
+        const double aw = s.active_w[p];
+        const int crossers =
+            s.probe_count[static_cast<std::size_t>(i - a_b) * stride +
+                          static_cast<std::size_t>(k)];
+        for (int j = 0; j <= crossers; ++j) {
+          if (std::max(0.0, r) / (aw - j) <= share) return true;
+          r -= share;
+        }
+      }
+      return false;
+    };
+    int k = 1;
+    for (; k <= levels; ++k) {
+      const int b = s.replay_off[static_cast<std::size_t>(k)];
+      const int e = s.replay_off[static_cast<std::size_t>(k) + 1];
+      assert(b < e);  // levels are renumbered densely
+      const double share =
+          prefix->rate[static_cast<std::size_t>(s.replay_flow[static_cast<std::size_t>(b)])];
+      if (a >= 0 && arrival_may_fire(k, share)) break;
+      for (int gi = b; gi < e; ++gi) {
+        const auto fu = static_cast<std::size_t>(s.replay_flow[static_cast<std::size_t>(gi)]);
+        s.frozen[fu] = 1;
+        rates_out[fu] = prefix->rate[fu];
+        if (levels_out) levels_out[fu] = k;
+        // No compaction runs during the replay, so every position is live.
+        for (int pi = off[fu]; pi < off[fu + 1]; ++pi) {
+          const auto p = static_cast<std::size_t>(
+              s.link_pos[static_cast<std::size_t>(lids[pi])]);
+          s.residual[p] -= rates_out[fu];
+          s.active_w[p] -= 1.0;
+        }
+      }
+      replayed += e - b;
+    }
+    remaining -= static_cast<std::size_t>(replayed);
+    iterations = k - 1;
+    // One compaction stands for the cold loop's per-level ones: a link that
+    // went dead at an earlier level has no unfrozen crosser left, so no
+    // later level subtracts from it, and unit weights make the dead test
+    // exact at every step.
+    if (replayed > 0) compact();
+  }
   while (remaining > 0) {
     ++iterations;
     const std::size_t n_active = s.active_links.size();
@@ -319,6 +452,7 @@ void max_min_rates_csr(const double* capacities, std::size_t num_links,
           if (s.frozen[fu]) continue;
           s.frozen[fu] = 1;
           rates_out[fu] = min_share * w_of(fu);
+          if (levels_out) levels_out[fu] = static_cast<int>(iterations);
           --remaining;
           for (int pi2 = off[fu]; pi2 < off[fu + 1]; ++pi2) {
             // Links already compacted off the active list take no further
@@ -346,6 +480,7 @@ void max_min_rates_csr(const double* capacities, std::size_t num_links,
           if (s.frozen[fu]) continue;
           s.frozen[fu] = 1;
           rates_out[fu] = min_share * w_of(fu);
+          if (levels_out) levels_out[fu] = static_cast<int>(iterations);
           s.batch_mark[fu] = s.batch_epoch;
           --remaining;
         }
@@ -365,29 +500,14 @@ void max_min_rates_csr(const double* capacities, std::size_t num_links,
             });
       }
     }
-    // Tandem compaction: drop links with no remaining unfrozen flows,
-    // keeping positions dense and first-seen-ordered (what std::erase_if
-    // did for the id-indexed layout).
-    std::size_t w = 0;
-    for (std::size_t pi = 0; pi < s.active_links.size(); ++pi) {
-      const int l = s.active_links[pi];
-      if (s.active_w[pi] <= 1e-12) {
-        s.link_pos[static_cast<std::size_t>(l)] = -1;
-        continue;
-      }
-      s.active_links[w] = l;
-      s.residual[w] = s.residual[pi];
-      s.active_w[w] = s.active_w[pi];
-      s.link_pos[static_cast<std::size_t>(l)] = static_cast<int>(w);
-      ++w;
-    }
-    s.active_links.resize(w);
+    compact();
   }
 
   if (stats) {
     stats->iterations = iterations;
     stats->bottleneck_links = bottlenecks;
     stats->parallel_scans = parallel_scans;
+    stats->replayed_flows = replayed;
   }
 }
 

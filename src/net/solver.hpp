@@ -66,6 +66,8 @@ struct SolveStats {
   // parallel_scan_threshold gate and ran as a chunked parallel reduce
   // (scan_engaged% in the bench counters = parallel_scans / iterations).
   std::int64_t parallel_scans = 0;
+  // Flows re-frozen from a `FreezePrefix` instead of water-filled.
+  std::int64_t replayed_flows = 0;
 };
 
 // Flat CSR path set: flow f's links are `link_ids[offsets[f] ..
@@ -125,6 +127,11 @@ struct SolveScratch {
   // without any per-solve clearing (epoch grows monotonically).
   std::vector<std::uint64_t> batch_mark;  // [num_flows]
   std::uint64_t batch_epoch = 0;
+  // Freeze-prefix replay: prefix flows grouped by level (counting sort), and
+  // per arrival link the number of prefix flows per level that cross it.
+  std::vector<int> replay_off;   // [levels + 2]
+  std::vector<int> replay_flow;  // [num_flows]
+  std::vector<int> probe_count;  // [arrival links x (levels + 1)]
   // Set by `max_min_rates_csr`: whether the last solve had to grow any
   // buffer. Owners with deterministic call sites use it to feed the
   // `net.solver.scratch_reuse` counter (the solver itself does not count —
@@ -133,17 +140,48 @@ struct SolveScratch {
   bool last_solve_allocated = false;
 };
 
+// The first levels of an earlier solve of (almost) the same problem, for
+// `max_min_rates_csr` to re-freeze before it water-fills (FlowSim's freeze
+// ledger, DESIGN.md §9). The caller vouches that the cold solve of the
+// current input freezes these groups first, in this order, at these rates —
+// with one exception it need not vouch for: a single `arrival` the recorded
+// solve did not contain. Before re-freezing level k the core then probes
+// every link of the arrival against the level's share at each point of the
+// firing sweep that could reach it, and stops the replay at the first level
+// the arrival could change. Unit weights only.
+struct FreezePrefix {
+  // [num_flows] prefix level, renumbered 1..levels in freeze order with
+  // every level holding at least one flow; 0 = the flow is not in the
+  // prefix (the arrival never is) and is water-filled normally.
+  const int* level = nullptr;
+  // [num_flows] the rate each prefix flow froze at (equal within a level).
+  const double* rate = nullptr;
+  int levels = 0;
+  int arrival = -1;  // flow index of the single arrival, or -1
+};
+
+// Stable counting sort of the flows [0, n) with level[f] in 1..levels into
+// `order`, grouped by level: group k is order[off[k] .. off[k+1]). Flows at
+// level 0 are skipped. Returns whether a buffer had to grow.
+bool group_by_level(const int* level, std::size_t n, int levels,
+                    std::vector<int>& off, std::vector<int>& order);
+
 // Water-filling over a CSR path set. Writes one rate per flow into
 // `rates_out` (size >= paths.num_flows()). Link ids must lie in
 // [0, num_links); `weights` (nullable) has one entry per flow. Validation
 // matches `max_min_rates`: non-finite/negative capacities or weights throw
 // std::invalid_argument, an unbounded allocation throws std::runtime_error.
 // Bit-for-bit identical to `max_min_rates_reference` on the same input — the
-// differential suite pins this at every thread count.
+// differential suite pins this at every thread count. `prefix` (nullable)
+// is re-frozen first; `levels_out` (nullable, size >= num_flows) receives
+// each flow's 1-based freeze level, replayed levels included, so that
+// `stats->iterations` and the levels are those of the cold solve.
 void max_min_rates_csr(const double* capacities, std::size_t num_links,
                        const PathsCsr& paths, const double* weights,
                        double* rates_out, SolveStats* stats,
-                       SolveScratch& scratch);
+                       SolveScratch& scratch,
+                       const FreezePrefix* prefix = nullptr,
+                       int* levels_out = nullptr);
 
 // `capacities[l]` is the capacity of link l; `paths[f]` lists the links of
 // flow f (must be non-empty, without duplicates). Optional `weights` give

@@ -20,6 +20,9 @@ net::FlowSim::Stats stats_delta(const net::FlowSim::Stats& after,
   d.warm_memo_stale = after.warm_memo_stale - before.warm_memo_stale;
   d.warm_prefix_hits = after.warm_prefix_hits - before.warm_prefix_hits;
   d.component_solves = after.component_solves - before.component_solves;
+  d.component_prefix_hits =
+      after.component_prefix_hits - before.component_prefix_hits;
+  d.replayed_flows = after.replayed_flows - before.replayed_flows;
   d.flows_solved = after.flows_solved - before.flows_solved;
   d.frontier_flows = after.frontier_flows - before.frontier_flows;
   d.solver_iterations = after.solver_iterations - before.solver_iterations;

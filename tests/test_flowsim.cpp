@@ -279,6 +279,30 @@ TEST(FlowSim, StartRejectsOutOfRangeEndpointsWithoutSideEffects) {
   EXPECT_EQ(fs.active_flows(), 0u);
 }
 
+TEST(FlowSim, StartOnPathRejectsBadPathsWithoutSideEffects) {
+  sim::Engine eng;
+  auto fabric = small_dragonfly(net::Routing::Adaptive);
+  const int n = static_cast<int>(fabric.topology().links().size());
+  net::FlowSim fs(eng, fabric);
+  const std::uint64_t first = fs.start_on_path({0, 1}, 1e9, [] {});
+  const auto stats = fs.stats();
+  const auto pending = eng.pending_events();
+  EXPECT_THROW(fs.start_on_path({}, 1e9, [] {}), std::invalid_argument);
+  for (const auto& path : std::vector<std::vector<int>>{
+           {-1}, {n}, {0, n + 5}, {2, -7, 3}}) {
+    EXPECT_THROW(fs.start_on_path(path, 1e9, [] {}), std::out_of_range)
+        << path.size() << "-link path";
+  }
+  EXPECT_EQ(fs.active_flows(), 1u);
+  EXPECT_TRUE(fs.stats() == stats);
+  EXPECT_EQ(eng.pending_events(), pending);
+  // The next valid start takes the next id, and both flows complete.
+  EXPECT_EQ(fs.start_on_path({n - 1}, 1e9, [] {}), first + 1);
+  EXPECT_EQ(fs.active_flows(), 2u);
+  eng.run();
+  EXPECT_EQ(fs.active_flows(), 0u);
+}
+
 // ------------------------------------------------------------ rate floor ---
 
 TEST(FlowSim, FlowOverDownedLinkStallsVisiblyInsteadOfTrickling) {
@@ -823,6 +847,280 @@ TEST(FlowSimWriteback, StallRestoreDropChurnBitwiseAcrossModes) {
               ref_stats.flows_solved);
     EXPECT_LE(inc_stats.writeback_applied, ref_stats.writeback_applied);
   }
+}
+
+// ---------------------------------------------------------- freeze ledger ---
+
+net::Fabric family_fat_tree(net::Routing r) {
+  // 16 leaves x 8 endpoints, non-blocking: contention only at the endpoints.
+  return make_fabric(topo::Topology::fat_tree(16, 8, 25e9, 180e-9), r, true);
+}
+
+// Seeded start/complete churn with mid-run link failures. Every few
+// milliseconds of simulated time a link of some active flow fails (and is
+// restored later) through `notify_capacity_change`; under Drop every
+// dropped flow is replaced. With `oracle_checks` every live rate is checked
+// against the reference after every start, completion and capacity change.
+// Returns the completion instants.
+std::vector<double> ledger_churn(const FabricFamily& fam,
+                                 net::StallPolicy policy, bool incremental,
+                                 std::uint64_t seed, int* oracle_checks,
+                                 net::FlowSim::Stats* out_stats) {
+  sim::Engine eng;
+  auto fabric = fam.make(net::Routing::Adaptive);
+  net::FlowSim fs(eng, fabric,
+                  {.incremental = incremental, .stall_policy = policy});
+  std::optional<net::RotorSchedule> rotor;
+  if (fam.rotor) {
+    rotor.emplace(eng, fabric, &fs);
+    rotor->start();
+  }
+  sim::Rng rng(seed);
+  const int eps = fabric.topology().num_endpoints();
+  const int total = 240;
+  int launched = 0;
+  std::vector<double> times;
+  auto check = [&] {
+    if (oracle_checks) *oracle_checks += check_against_oracle(fs, fabric);
+  };
+  std::function<void()> launch = [&] {
+    if (launched >= total) return;
+    ++launched;
+    const int src = static_cast<int>(rng.index(static_cast<std::uint64_t>(eps)));
+    int dst = static_cast<int>(rng.index(static_cast<std::uint64_t>(eps)));
+    if (dst == src) dst = (dst + 1) % eps;
+    // Rotor slots last 250 us: smaller writes (and a wider window, below)
+    // put several starts and completions into one slot, between two
+    // capacity-epoch moves.
+    const double scale = fam.rotor ? 1e-3 : 1.0;
+    fs.start(src, dst, scale * rng.uniform(1e6, 3e8), [&] {
+      times.push_back(eng.now());
+      check();
+      launch();
+    });
+    check();
+  };
+  fs.on_stall([&](std::uint64_t) { launch(); });
+  // Fail a link of the k-th active flow every 4 ms; restore it 3 ms later.
+  // Both modes hold the same flows on the same paths, so they pick the
+  // same link.
+  for (int k = 1; k <= 12; ++k) {
+    eng.schedule_at(4e-3 * k, [&, k] {
+      int victim = -1, i = 0;
+      fs.for_each_flow([&](std::uint64_t, const std::vector<int>& path, double,
+                           double) {
+        if (i++ == k % std::max<int>(1, static_cast<int>(fs.active_flows())))
+          victim = path[path.size() / 2];
+      });
+      if (victim < 0 || !fabric.fail_link(victim)) return;
+      fs.notify_capacity_change({victim});
+      check();
+      eng.schedule_in(3e-3, [&, victim] {
+        fabric.restore_link(victim);
+        fs.notify_capacity_change({victim});
+        check();
+      });
+    });
+  }
+  for (int i = 0; i < (fam.rotor ? 48 : 16); ++i) launch();
+  eng.run();
+  if (out_stats) *out_stats = fs.stats();
+  return times;
+}
+
+// The freeze ledger's contract: component and warm re-solves that re-freeze
+// a recorded prefix stay bitwise equal to the reference after every event,
+// and complete every flow at the same instant as whole-set cold solves — on
+// every topology family (rotor slot transitions move the capacity epoch),
+// under both stall policies, across mid-run link failures.
+TEST(FlowSimLedger, ReplayMatchesOracleAndColdUnderChurnAndFailures) {
+  const FabricFamily families[] = {
+      kFamilies[0], {"fat_tree", family_fat_tree, false}, kFamilies[1],
+      kFamilies[2]};
+  for (const FabricFamily& fam : families) {
+    for (net::StallPolicy policy :
+         {net::StallPolicy::Stall, net::StallPolicy::Drop}) {
+      SCOPED_TRACE(std::string(fam.name) + " policy " +
+                   std::to_string(static_cast<int>(policy)));
+      int checks = 0;
+      net::FlowSim::Stats st;
+      const auto inc = ledger_churn(fam, policy, true, 0x1ED6, &checks, &st);
+      const auto cold = ledger_churn(fam, policy, false, 0x1ED6, nullptr,
+                                     nullptr);
+      ASSERT_EQ(inc.size(), cold.size());
+      for (std::size_t i = 0; i < inc.size(); ++i)
+        EXPECT_EQ(inc[i], cold[i]) << "completion " << i;
+      EXPECT_GT(checks, 1000);
+      // The replay really ran: flows were re-frozen from the ledger. Not on
+      // rotor under Drop: there nearly every resolve drops the flows routed
+      // over a dark matching, and a Drop sweep retires the ledger.
+      if (!(fam.rotor && policy == net::StallPolicy::Drop)) {
+        EXPECT_GT(st.component_prefix_hits, 0u);
+        EXPECT_GT(st.replayed_flows, 0u);
+      }
+    }
+  }
+}
+
+// Hand-built problems over explicit paths: each flow's links get chosen
+// capacities, so the recorded levels are known exactly. Every other flow of
+// the fabric is absent, and `fallback_fraction = 1` keeps every resolve on
+// the component path.
+struct LedgerCase {
+  sim::Engine eng;
+  net::Fabric fabric = small_dragonfly(net::Routing::Minimal);
+  net::FlowSim fs{eng, fabric, {.fallback_fraction = 1.0}};
+
+  explicit LedgerCase(const std::vector<std::pair<int, double>>& caps) {
+    for (const auto& [l, c] : caps) fabric.set_link_capacity(l, c);
+  }
+  // Reference iterations over the active set.
+  std::int64_t cold_iterations() const {
+    std::vector<std::vector<int>> paths;
+    fs.for_each_flow([&](std::uint64_t, const std::vector<int>& p, double,
+                         double) { paths.push_back(p); });
+    net::SolveStats ss;
+    net::max_min_rates_reference(fabric.effective_capacities(), paths, nullptr,
+                                 &ss);
+    return ss.iterations;
+  }
+};
+
+// Links 1..4 carry a three-level component:
+//   P1 {1, 2}, P2 {1}  freeze at 10/2 = 5 (level 1),
+//   P3 {2, 3}          at 30 - 5 = 25 (level 2),
+//   P4 {3}             at 100 - 25 = 75 (level 3).
+constexpr double kBytesLong = 1e12;
+std::vector<std::pair<int, double>> three_level_caps() {
+  return {{1, 10.0}, {2, 30.0}, {3, 100.0}, {4, 25.0}, {5, 10.0}, {6, 100.0}};
+}
+
+// An arrival whose private link ties level 2's share exactly: in the cold
+// solve that link fires at level 2, so the replay must stop there — level 1
+// is re-frozen, level 2 is water-filled with the arrival in it.
+TEST(FlowSimLedger, ArrivalTyingALevelShareStopsTheReplayThere) {
+  LedgerCase c(three_level_caps());
+  for (const std::vector<int>& p :
+       std::vector<std::vector<int>>{{1, 2}, {1}, {2, 3}, {3}})
+    c.fs.start_on_path(p, kBytesLong, [] {});
+  const auto before = c.fs.stats();
+  c.fs.start_on_path({4, 3}, kBytesLong, [] {});  // 25 / 1 ties level 2
+  const auto after = c.fs.stats();
+  EXPECT_EQ(after.component_prefix_hits, before.component_prefix_hits + 1);
+  EXPECT_EQ(after.replayed_flows, before.replayed_flows + 2);  // P1, P2 only
+  // Iterations equal the cold solve's: the arrival froze at level 2, not
+  // in a level of its own after a replayed level 2.
+  EXPECT_EQ(after.solver_iterations - before.solver_iterations,
+            static_cast<std::uint64_t>(c.cold_iterations()));
+  EXPECT_EQ(c.cold_iterations(), 3);
+  check_against_oracle(c.fs, c.fabric);
+  std::vector<double> rates;
+  c.fs.for_each_flow([&](std::uint64_t, const std::vector<int>&, double,
+                         double r) { rates.push_back(r); });
+  EXPECT_EQ(rates, (std::vector<double>{5.0, 5.0, 25.0, 50.0, 25.0}));
+}
+
+// The same, where the tie appears only mid-sweep. Link 8 has one crosser,
+// Y, and fires first at share s = 1.940282048706869. Link 9 (capacity r =
+// 11.641692292241215) carries Y, four flows W that froze at level 2, and
+// the arrival Z. Before the sweep r / 6 > s, so a probe of the scan state
+// alone passes; after Y's freeze subtracts s, (r - s) / 5 rounds to <= s,
+// and the cold sweep freezes W and Z at level 1 too.
+TEST(FlowSimLedger, ArrivalFiringLateInTheSweepStopsTheReplay) {
+  const double s = 1.940282048706869;
+  const double r = 11.641692292241215;
+  ASSERT_GT(r / 6, s);
+  ASSERT_LE((r - s) / 5, s);
+  ASSERT_GT((r - s) / 4, s);  // without Z, link 9 does not fire at level 1
+  LedgerCase c({{8, s}, {9, r}});
+  c.fs.start_on_path({8, 9}, kBytesLong, [] {});
+  for (int i = 0; i < 4; ++i) c.fs.start_on_path({9}, kBytesLong, [] {});
+  const auto before = c.fs.stats();
+  c.fs.start_on_path({9}, kBytesLong, [] {});
+  const auto after = c.fs.stats();
+  EXPECT_EQ(after.replayed_flows, before.replayed_flows);
+  EXPECT_EQ(after.solver_iterations - before.solver_iterations, 1u);
+  EXPECT_EQ(c.cold_iterations(), 1);
+  check_against_oracle(c.fs, c.fabric);
+}
+
+// Removals at level 1 or 2 leave fewer than two levels below the cut, and a
+// one-level component has nothing to replay: all solve cold. A removal at
+// level 3 replays both levels below it.
+TEST(FlowSimLedger, ShallowCutsSolveColdAndDeepCutsReplay) {
+  for (int removed = 0; removed < 4; ++removed) {
+    SCOPED_TRACE("removed flow P" + std::to_string(removed + 1));
+    LedgerCase c(three_level_caps());
+    const std::vector<std::vector<int>> paths{{1, 2}, {1}, {2, 3}, {3}};
+    net::FlowSim::Stats before;
+    bool done = false;
+    for (int i = 0; i < 4; ++i)
+      c.fs.start_on_path(paths[static_cast<std::size_t>(i)],
+                         i == removed ? 1.0 : kBytesLong, [&] {
+                           done = true;
+                           const auto& st = c.fs.stats();
+                           // P1/P2 froze at level 1, P3 at level 2: cold.
+                           // P4 froze at level 3: P1..P3 are re-frozen.
+                           const std::uint64_t want = removed == 3 ? 3 : 0;
+                           EXPECT_EQ(st.replayed_flows,
+                                     before.replayed_flows + want);
+                           EXPECT_EQ(st.solver_iterations -
+                                         before.solver_iterations,
+                                     static_cast<std::uint64_t>(
+                                         c.cold_iterations()));
+                           check_against_oracle(c.fs, c.fabric);
+                           c.eng.stop();
+                         });
+    before = c.fs.stats();
+    c.eng.run();
+    EXPECT_TRUE(done);
+  }
+  // One level: both flows freeze at 10/2 on link 5; the arrival finds one
+  // recorded level and solves cold.
+  LedgerCase c(three_level_caps());
+  c.fs.start_on_path({5, 6}, kBytesLong, [] {});
+  c.fs.start_on_path({5}, kBytesLong, [] {});
+  const auto before = c.fs.stats();
+  c.fs.start_on_path({6}, kBytesLong, [] {});
+  EXPECT_EQ(c.fs.stats().replayed_flows, before.replayed_flows);
+  EXPECT_EQ(c.fs.stats().component_prefix_hits, before.component_prefix_hits);
+  check_against_oracle(c.fs, c.fabric);
+}
+
+// A component re-solve replays the levels a whole-set warm pass recorded.
+// The warm pass interleaves two components' levels (B at 1.5, A at 2, B at
+// 8.5, 21.5 and 178.5), so B's prefix is renumbered 1..3 when B5 (level 5)
+// completes and B's re-solve runs alone.
+TEST(FlowSimLedger, ComponentReplaySpansAWholeSetWarmPass) {
+  sim::Engine eng;
+  auto fabric = small_dragonfly(net::Routing::Minimal);
+  for (const auto& [l, cap] : std::vector<std::pair<int, double>>{
+           {1, 3.0}, {2, 10.0}, {3, 30.0}, {4, 200.0}, {10, 12.0}})
+    fabric.set_link_capacity(l, cap);
+  net::FlowSim fs(eng, fabric);
+  bool done = false;
+  net::FlowSim::Stats before;
+  const std::vector<std::vector<int>> b_paths{
+      {1, 2}, {1}, {2, 3}, {3, 4}, {4}};
+  for (std::size_t i = 0; i < b_paths.size(); ++i)
+    fs.start_on_path(b_paths[i], i == 4 ? 100.0 : kBytesLong, [&] {
+      done = true;
+      const auto& st = fs.stats();
+      EXPECT_EQ(st.warm_solves, before.warm_solves);  // a component re-solve
+      EXPECT_EQ(st.component_prefix_hits, before.component_prefix_hits + 1);
+      EXPECT_EQ(st.replayed_flows, before.replayed_flows + 4);  // B1..B4
+      EXPECT_EQ(st.solver_iterations - before.solver_iterations, 3u);
+      check_against_oracle(fs, fabric);
+      eng.stop();
+    });
+  // A: six flows on link 10 at 12/6 = 2. The sixth makes A more than half
+  // of the active set, so its arrival is solved warm over A and B together.
+  const auto warm_before = fs.stats().warm_solves;
+  for (int i = 0; i < 6; ++i) fs.start_on_path({10}, kBytesLong, [] {});
+  ASSERT_GT(fs.stats().warm_solves, warm_before);
+  before = fs.stats();
+  eng.run();
+  EXPECT_TRUE(done);
 }
 
 }  // namespace

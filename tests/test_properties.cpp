@@ -7,6 +7,7 @@
 
 #include "apps/catalog.hpp"
 #include "core/xscale.hpp"
+#include "net/solver.hpp"
 #include "sim/parallel.hpp"
 
 namespace {
@@ -161,6 +162,100 @@ INSTANTIATE_TEST_SUITE_P(
     [](const ::testing::TestParamInfo<SparseSolveCase>& info) {
       return std::string(info.param.name);
     });
+
+// Freeze-prefix replay in the CSR core: a solve that re-freezes the levels an
+// earlier solve recorded equals the cold solve bit for bit — rates,
+// iterations and levels — after one arrival (the core probes where to stop)
+// and after one removal (levels below the removed flow's). Half the seeds
+// draw capacities from three values, so shares tie bitwise and many links
+// fire in one sweep.
+TEST(FreezePrefixReplay, ArrivalAndRemovalReplayEqualsCold) {
+  constexpr int kLinks = 24;
+  constexpr int kFlows = 40;
+  std::int64_t replayed = 0, stopped_early = 0;
+  for (std::uint64_t seed = 1; seed <= 200; ++seed) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    sim::Rng rng(seed);
+    std::vector<double> cap(kLinks);
+    for (auto& x : cap)
+      x = seed % 2 ? 10.0 * static_cast<double>(1 + rng.index(3))
+                   : rng.uniform(1.0, 40.0);
+    auto random_path = [&] {
+      std::set<int> links;
+      const int len = 1 + static_cast<int>(rng.index(4));
+      while (static_cast<int>(links.size()) < len)
+        links.insert(static_cast<int>(rng.index(kLinks)));
+      std::vector<int> p(links.begin(), links.end());
+      std::swap(p[0], p[rng.index(p.size())]);
+      return p;
+    };
+    std::vector<std::vector<int>> paths;
+    for (int f = 0; f < kFlows; ++f) paths.push_back(random_path());
+
+    // Cold solve over `ps` through the core; returns rates, fills levels.
+    net::SolveScratch scratch;
+    auto solve = [&](const std::vector<std::vector<int>>& ps,
+                     const net::FreezePrefix* prefix, std::vector<int>& levels,
+                     net::SolveStats& st) {
+      net::PathsCsr csr;
+      for (const auto& p : ps) csr.push_path(p.begin(), p.end());
+      std::vector<double> rates(ps.size());
+      levels.assign(ps.size(), 0);
+      net::max_min_rates_csr(cap.data(), cap.size(), csr, nullptr,
+                             rates.data(), &st, scratch, prefix,
+                             levels.data());
+      return rates;
+    };
+    auto expect_cold = [&](const std::vector<std::vector<int>>& ps,
+                           const net::FreezePrefix& prefix) {
+      std::vector<int> cold_levels, got_levels;
+      net::SolveStats cold_st, got_st, ref_st;
+      const auto cold = solve(ps, nullptr, cold_levels, cold_st);
+      const auto got = solve(ps, &prefix, got_levels, got_st);
+      const auto ref = net::max_min_rates_reference(cap, ps, nullptr, &ref_st);
+      for (std::size_t f = 0; f < ps.size(); ++f) {
+        EXPECT_EQ(got[f], ref[f]) << "flow " << f;
+        EXPECT_EQ(cold[f], ref[f]) << "flow " << f;
+      }
+      EXPECT_EQ(got_st.iterations, ref_st.iterations);
+      EXPECT_EQ(got_levels, cold_levels);
+      return got_st.replayed_flows;
+    };
+
+    std::vector<int> base_levels;
+    net::SolveStats base_st;
+    const auto base = solve(paths, nullptr, base_levels, base_st);
+
+    // One arrival: every recorded level is offered.
+    auto grown = paths;
+    grown.push_back(random_path());
+    std::vector<int> level(base_levels);
+    level.push_back(0);
+    std::vector<double> rate(base);
+    rate.push_back(0.0);
+    const auto arrival_replayed = expect_cold(
+        grown, {level.data(), rate.data(),
+                static_cast<int>(base_st.iterations), kFlows});
+    replayed += arrival_replayed;
+    if (arrival_replayed < kFlows) ++stopped_early;
+
+    // One removal: the levels below the removed flow's.
+    const auto r = static_cast<std::size_t>(rng.index(kFlows));
+    const int cut = base_levels[r];
+    auto shrunk = paths;
+    shrunk.erase(shrunk.begin() + static_cast<std::ptrdiff_t>(r));
+    level = base_levels;
+    level.erase(level.begin() + static_cast<std::ptrdiff_t>(r));
+    rate = base;
+    rate.erase(rate.begin() + static_cast<std::ptrdiff_t>(r));
+    for (int& l : level)
+      if (l >= cut) l = 0;
+    replayed += expect_cold(shrunk, {level.data(), rate.data(), cut - 1, -1});
+  }
+  // Both outcomes of the arrival probe occurred.
+  EXPECT_GT(replayed, 0);
+  EXPECT_GT(stopped_early, 0);
+}
 
 // -------------------------------------------------- dragonfly properties ----
 

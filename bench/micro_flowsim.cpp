@@ -12,7 +12,7 @@
 //
 // Reported counters:
 //   comp_avg   — mean flows handed to the solver per resolve (full = F)
-//   fallback%  — share of resolves that fell back to the full solve
+//   warm%      — share of resolves that re-solved the whole active set
 //   heap       — engine heap occupancy at the end of the run
 //   stale      — cancelled-but-unpopped heap entries (bounded by compaction)
 //   allocs/op  — heap allocations per completed flow (includes sim setup)
@@ -32,6 +32,7 @@
 #include "net/fabric.hpp"
 #include "net/flowsim.hpp"
 #include "net/rotor.hpp"
+#include "net/simd.hpp"
 #include "obs/options.hpp"
 #include "resil/jobsim.hpp"
 #include "sim/engine.hpp"
@@ -336,20 +337,16 @@ void BM_FlowChurn(benchmark::State& state, Pattern p, bool incremental,
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
                           static_cast<std::int64_t>(target));
-  const double solves = static_cast<double>(
-      last.full_solves + last.fallback_solves + last.component_solves);
+  const double solves =
+      static_cast<double>(last.full_solves + last.component_solves);
   state.counters["comp_avg"] =
       solves > 0 ? static_cast<double>(last.flows_solved) / solves : 0.0;
-  state.counters["fallback%"] =
-      last.resolves
-          ? 100.0 * static_cast<double>(last.fallback_solves) /
-                static_cast<double>(last.resolves)
-          : 0.0;
   state.counters["heap"] = static_cast<double>(heap);
   state.counters["stale"] = static_cast<double>(stale);
   // Warm-start effectiveness (ISSUE 6): share of resolves taking the warm
   // whole-set path, and the mean flows actually *iterated* per warm solve
-  // (memo hits and frozen-prefix replays shrink this below comp_avg).
+  // (closed-form hits and frozen-prefix replays shrink this below the
+  // active set).
   state.counters["warm%"] =
       last.resolves ? 100.0 * static_cast<double>(last.warm_solves) /
                           static_cast<double>(last.resolves)
@@ -384,23 +381,11 @@ void BM_FlowChurn(benchmark::State& state, Pattern p, bool incremental,
   state.counters["steady_allocs/op"] =
       wb.ops ? static_cast<double>(wb.allocs) / static_cast<double>(wb.ops)
              : 0.0;
-  // Share of water-filling iterations whose min-share scan crossed the
-  // parallel gate and ran as a chunked parallel reduce (ISSUE 10). Most
-  // incremental rows solve small per-churn components and stay at 0; the
-  // warm whole-set and full-solve paths engage once the live link count
-  // clears solver_tuning().parallel_scan_threshold.
-  state.counters["scan_engaged%"] =
-      last.solver_iterations
-          ? 100.0 * static_cast<double>(last.parallel_scans) /
-                static_cast<double>(last.solver_iterations)
-          : 0.0;
   state.counters["topo_build_ms"] = topo_ms;
   if (is_rotor) {
-    // Slot-boundary cost (ISSUE 9): how many transitions the run needed and
-    // how many warm-memo generations they invalidated. check_bench.py gates
-    // that rotor rows actually rotated.
+    // Slot-boundary cost: how many transitions the run needed.
+    // check_bench.py gates that rotor rows actually rotated.
     state.counters["slot_transitions"] = static_cast<double>(slot_transitions);
-    state.counters["memo_stale"] = static_cast<double>(last.warm_memo_stale);
   }
 }
 
@@ -449,19 +434,13 @@ void BM_SteadyResolve(benchmark::State& state, Pattern p) {
   state.counters["resolves"] = static_cast<double>(resolves);
 }
 
-// Thread-scaling for the warm whole-set solve (ISSUE 8/10): all-to-all churn
-// with fallback_fraction = 0, which routes every resolve through the warm
-// whole-set water-filling — the path whose min-share scan and batch
-// rate-subtraction cross the parallel gates once the live link list is large
-// enough (plain incremental all-to-all churn solves small per-churn
-// components, never the whole set). Args are {threads, endpoints}: the
-// Frontier-scale row (9,408) sweeps the full thread ladder; the
-// 2x/4x-Frontier rows (ISSUE 10) run {1, 4} so the recorded snapshot carries
-// the 4-thread-vs-1-thread speedup check_bench.py gates at every fabric scale.
-void BM_FlowChurnThreadsWarm(benchmark::State& state) {
-  const int prev_threads = sim::thread_count();
-  sim::set_thread_count(static_cast<int>(state.range(0)));
-  const int n = static_cast<int>(state.range(1));
+// Whole-set churn: all-to-all churn with fallback_fraction = 0, which
+// routes every resolve through the whole-set path — the closed form or the
+// CSR core over every active flow (plain incremental all-to-all churn
+// solves small per-churn components, never the whole set). One row at the
+// paper's 9,408 endpoints, one at 4x Frontier.
+void BM_FlowChurnWholeSet(benchmark::State& state) {
+  const int n = static_cast<int>(state.range(0));
   const auto fabric = build_fabric(n);
   const auto target = churn_target(n);
   net::FlowSim::Stats last{};
@@ -475,17 +454,14 @@ void BM_FlowChurnThreadsWarm(benchmark::State& state) {
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
                           static_cast<std::int64_t>(target));
-  state.counters["threads"] = static_cast<double>(state.range(0));
   state.counters["warm%"] =
       last.resolves ? 100.0 * static_cast<double>(last.warm_solves) /
                           static_cast<double>(last.resolves)
                     : 0.0;
-  state.counters["scan_engaged%"] =
-      last.solver_iterations
-          ? 100.0 * static_cast<double>(last.parallel_scans) /
-                static_cast<double>(last.solver_iterations)
-          : 0.0;
-  sim::set_thread_count(prev_threads);
+  state.counters["frontier_avg"] =
+      last.warm_solves ? static_cast<double>(last.frontier_flows) /
+                             static_cast<double>(last.warm_solves)
+                       : 0.0;
 }
 
 // Thread-scaling companion for the resiliency Monte Carlo paths (trial-
@@ -573,18 +549,23 @@ BENCHMARK_CAPTURE(BM_SteadyResolve, alltoall, Pattern::AllToAll)
 BENCHMARK_CAPTURE(BM_SteadyResolve, permutation, Pattern::Permutation)
     ->Arg(1024)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_EngineCancelChurn)->Arg(4)->Arg(1024)->Unit(benchmark::kMillisecond);
-BENCHMARK(BM_FlowChurnThreadsWarm)
-    ->Args({1, 9408})->Args({2, 9408})->Args({4, 9408})->Args({8, 9408})
-    ->Args({1, 18944})->Args({4, 18944})
-    ->Args({1, 37888})->Args({4, 37888})
-    ->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_FlowChurnWholeSet)
+    ->Arg(9408)->Arg(37888)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_JobReplayThreads)
     ->Arg(1)->Arg(2)->Arg(4)->Arg(8)->Unit(benchmark::kMillisecond);
 
+#ifndef XSCALE_BUILD_TYPE
+#define XSCALE_BUILD_TYPE "unknown"
+#endif
+
 // Expanded BENCHMARK_MAIN() so the shared obs flags (--trace <file>,
-// --metrics) are stripped before google-benchmark parses argv.
+// --metrics) are stripped before google-benchmark parses argv. The context
+// carries the simulator's build type and the dispatched scan kernel, which
+// scripts/record_bench.sh stamps into the snapshot.
 int main(int argc, char** argv) {
   xscale::obs::BenchObs obs(argc, argv);
+  benchmark::AddCustomContext("build_type", XSCALE_BUILD_TYPE);
+  benchmark::AddCustomContext("scan_kernel", net::min_share_scan_name());
   benchmark::Initialize(&argc, argv);
   if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
   benchmark::RunSpecifiedBenchmarks();

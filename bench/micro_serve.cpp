@@ -6,10 +6,6 @@
 // second, all sessions combined). The per-session scenario stream repeats;
 // the reported counters pin the isolation story:
 //
-//   warm_memo%  — share of resolves replayed from the warm memo
-//   memo_stale  — memo generations skipped because the session's own capacity
-//                 epoch moved (sibling sessions can never trip this: epochs
-//                 are per-overlay since the snapshot split)
 //   epochs_max  — largest per-session capacity epoch at the end (diff-applied
 //                 repeated scenarios keep this at 1 per failed link)
 //   reroutes    — minimal routes that detoured around a failed Global bundle
@@ -17,7 +13,7 @@
 // The check_bench.py gate compares sessions=64 against sessions=1 throughput:
 // serving 64 overlay scenarios from one snapshot must stay within 2x of the
 // single-session per-scenario cost at XSCALE_THREADS=1 (no cross-session
-// invalidation, or the memo hit rate collapses and this ratio craters).
+// invalidation, or this ratio craters).
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
@@ -88,23 +84,11 @@ void BM_ServeBatch(benchmark::State& state) {
     scenarios += static_cast<std::uint64_t>(sessions) * kScenariosPerSession;
   }
 
-  net::FlowSim::Stats agg;
   std::uint64_t epochs_max = 0;
-  for (int id : ids) {
-    const auto& st = batcher.session(id)->flowsim().stats();
-    agg.resolves += st.resolves;
-    agg.warm_memo_hits += st.warm_memo_hits;
-    agg.warm_memo_stale += st.warm_memo_stale;
+  for (int id : ids)
     epochs_max = std::max(epochs_max,
                           batcher.session(id)->fabric().capacity_epoch());
-  }
   state.SetItemsProcessed(static_cast<std::int64_t>(scenarios));
-  state.counters["warm_memo%"] =
-      agg.resolves
-          ? 100.0 * static_cast<double>(agg.warm_memo_hits) /
-                static_cast<double>(agg.resolves)
-          : 0.0;
-  state.counters["memo_stale"] = static_cast<double>(agg.warm_memo_stale);
   state.counters["epochs_max"] = static_cast<double>(epochs_max);
   state.counters["reroutes"] = static_cast<double>(
       obs::metrics().counter("net.route_cache.overlay_reroute").value());

@@ -46,6 +46,7 @@ void BM_FrontierTopologyBuild(benchmark::State& state) {
     auto t = machines::frontier_topology();
     benchmark::DoNotOptimize(t.num_endpoints());
   }
+  state.SetItemsProcessed(state.iterations());  // topologies built
 }
 BENCHMARK(BM_FrontierTopologyBuild);
 
@@ -71,6 +72,7 @@ void BM_GemmModel(benchmark::State& state) {
     benchmark::DoNotOptimize(g.gemm_achieved(hw::Precision::FP64, n));
     n = n % 16384 + 128;
   }
+  state.SetItemsProcessed(state.iterations());  // GEMM estimates
 }
 BENCHMARK(BM_GemmModel);
 
@@ -81,6 +83,7 @@ void BM_SchedulerAllocateRelease(benchmark::State& state) {
     benchmark::DoNotOptimize(a->nodes.data());
     s.release(*a);
   }
+  state.SetItemsProcessed(state.iterations());  // allocate/release pairs
 }
 BENCHMARK(BM_SchedulerAllocateRelease);
 

@@ -13,7 +13,10 @@
 #   build-dir: CMake build tree with the benches built (default: build)
 #   --quick:   short min_time (0.1s) for smoke runs, and skip the
 #              multi-Frontier rows (>= 18,944 endpoints, minutes each);
-#              default is 0.5s with every row
+#              default is 0.5s with every row. Record the committed
+#              baseline with --quick too: CI gates a --quick run, and in a
+#              full run the multi-Frontier rows leave the allocator warm,
+#              so later rows read up to ~1.6x faster than CI will see.
 #   --out:     write the snapshot to FILE instead of BENCH_flowsim.json
 #              (CI records a fresh snapshot here and diffs it against the
 #              committed one with scripts/check_bench.py)
@@ -59,13 +62,15 @@ done
 
 # Merge, keeping only the fields worth diffing across PRs.
 python3 - "$TMP" "$OUT" <<'PY'
-import json, subprocess, sys
+import json, os, subprocess, sys
 tmp, out = sys.argv[1], sys.argv[2]
 
 def rev():
     try:
+        # "-dirty" marks a recording of uncommitted changes on top of HEAD.
         return subprocess.check_output(
-            ["git", "rev-parse", "--short", "HEAD"], text=True).strip()
+            ["git", "describe", "--always", "--dirty", "--abbrev=7"],
+            text=True).strip()
     except Exception:
         return "unknown"
 
@@ -80,6 +85,9 @@ for name in ("micro_flowsim", "micro_simcore", "micro_serve"):
             "num_cpus": ctx.get("num_cpus"),
             "mhz_per_cpu": ctx.get("mhz_per_cpu"),
             "library_build_type": ctx.get("library_build_type"),
+            "build_type": ctx.get("build_type"),
+            "scan_kernel": ctx.get("scan_kernel"),
+            "xscale_threads": os.environ.get("XSCALE_THREADS", "1"),
         }
     for b in data.get("benchmarks", []):
         if b.get("run_type") == "aggregate":
@@ -87,10 +95,10 @@ for name in ("micro_flowsim", "micro_simcore", "micro_serve"):
         entry = {"real_time_ms": round(b["real_time"] / 1e6, 3)
                  if b.get("time_unit") == "ns" else round(b["real_time"], 3)}
         for k in ("items_per_second", "allocs/resolve", "allocs/op",
-                  "steady_allocs/op", "scan_engaged%",
-                  "comp_avg", "fallback%", "warm%", "frontier_avg",
+                  "steady_allocs/op",
+                  "comp_avg", "warm%", "frontier_avg",
                   "threads", "heap", "stale",
-                  "warm_memo%", "memo_stale", "epochs_max", "reroutes",
+                  "epochs_max", "reroutes",
                   "slot_transitions",
                   "writeback%", "topo_build_ms"):
             if k in b:

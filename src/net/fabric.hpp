@@ -20,8 +20,8 @@
 // bump (routes are derived per call under this overlay's failure view, so
 // there is nothing shared to invalidate). Both calls are
 // idempotent and bounds-checked: failing an already-failed link or restoring
-// a live one is a no-op that leaves the epoch — and every consumer memo keyed
-// on it — untouched.
+// a live one is a no-op that leaves the epoch — and every consumer cache
+// keyed on it — untouched.
 #pragma once
 
 #include <cstdint>
@@ -66,8 +66,8 @@ class FabricOverlay {
 
   // Bumped on every *effective* mutation (fail, restore, capacity override,
   // clear). No-ops — repeated fails, restores of live links, overriding with
-  // the value already in place — do not bump it, so consumer memos keyed on
-  // the epoch (FlowSim's warm-start memo) survive redundant calls.
+  // the value already in place — do not bump it, so consumer caches keyed on
+  // the epoch (FlowSim's freeze ledger) survive redundant calls.
   std::uint64_t capacity_epoch() const { return cap_epoch_; }
 
   // All return whether anything changed (false = no-op). Out-of-range link
@@ -82,7 +82,7 @@ class FabricOverlay {
   // Batched capacity overrides: applies every (link, capacity) pair but bumps
   // the epoch AT MOST ONCE for the whole batch (zero times if every pair is a
   // no-op). A rotor slot transition re-prices one matching off and another on
-  // through this call, so consumer memos see exactly one staleness event per
+  // through this call, so consumer caches see exactly one staleness event per
   // slot instead of one per link.
   bool set_link_capacities(const std::vector<std::pair<int, double>>& updates);
   // Remove a capacity override, returning the link to its base capacity.
@@ -198,7 +198,7 @@ class Fabric {
 
   // Bumped on every effective overlay mutation — per-overlay, never global.
   // Consumers that cache anything derived from `effective_capacities()`
-  // (FlowSim's warm-start memo and frozen-prefix metadata) compare epochs
+  // (FlowSim's freeze ledger and single-bottleneck summary) compare epochs
   // instead of diffing the vector; sibling sessions' epochs never move.
   std::uint64_t capacity_epoch() const { return overlay_.capacity_epoch(); }
 

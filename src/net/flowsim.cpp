@@ -7,20 +7,25 @@
 #include <stdexcept>
 #include <utility>
 
-#include "net/simd.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
-#include "sim/parallel.hpp"
 
 namespace xscale::net {
 
 namespace {
-// A component re-solve replays its ledger prefix only when at least this many
-// recorded levels lie below the cut: grouping the prefix costs O(members)
-// before any level is skipped, which a one-level prefix does not pay back
-// (DESIGN.md §9 gives the measured shares). A property of the input, not a
-// tuning knob.
-constexpr int kMinComponentReplayLevels = 2;
+// A re-solve, component or whole-set, replays its ledger prefix only when at
+// least this many recorded levels lie below the cut: grouping the prefix
+// costs O(members) before any level is skipped, which a one-level prefix
+// does not pay back (DESIGN.md §9 gives the measured shares). A property of
+// the input, not a tuning knob.
+constexpr int kMinReplayLevels = 2;
+
+void check_bytes(double bytes, const char* who) {
+  if (!std::isfinite(bytes))
+    throw std::invalid_argument(std::string(who) +
+                                ": bytes must be finite, got " +
+                                std::to_string(bytes));
+}
 }  // namespace
 
 void FlowSim::ensure_sized() {
@@ -63,6 +68,9 @@ void FlowSim::clear_dirty() {
 }
 
 std::uint64_t FlowSim::start(int src, int dst, double bytes, Done on_done) {
+  // A NaN or infinite size would never drain: the flow would hold its links
+  // forever without completing or stalling.
+  check_bytes(bytes, "FlowSim::start");
   const int n_eps = fabric_.topology().num_endpoints();
   if (src < 0 || dst < 0 || src >= n_eps || dst >= n_eps)
     throw std::out_of_range("FlowSim::start: endpoint pair (" +
@@ -85,6 +93,7 @@ std::uint64_t FlowSim::start_on_path(std::vector<int> path, double bytes,
   // Checked before any state changes: a bad id would index the per-link
   // arrays out of bounds, and an empty path would sit active forever at
   // rate 0.
+  check_bytes(bytes, "FlowSim::start_on_path");
   if (path.empty())
     throw std::invalid_argument("FlowSim::start_on_path: empty path");
   const auto n = static_cast<int>(fabric_.topology().links().size());
@@ -203,9 +212,7 @@ void FlowSim::remove_flow(int slot) {
     --link_load_[lu];
     auto& on = flows_on_link_[lu];
     // Ordered erase: each link's incidence stays in ascending flow-id order
-    // (inserts append, ids are monotonic), which is the transposed-incidence
-    // order the CSR core freezes flows in — the warm-start solve iterates
-    // these lists directly and must visit flows in exactly that order.
+    // (inserts append, ids are monotonic), so the binary search finds it.
     auto it = std::lower_bound(on.begin(), on.end(), f.id, id_less);
     assert(it != on.end() && *it == slot);
     on.erase(it);
@@ -266,8 +273,7 @@ void FlowSim::set_rate(std::uint64_t id, Flow& f, double rate) {
   f.rate = rate;
 }
 
-void FlowSim::affected_component(double max_flows) {
-  comp_truncated_ = false;
+bool FlowSim::affected_component(double max_flows) {
   comp_slots_.clear();
   ++visit_epoch_;
   link_q_.clear();
@@ -283,15 +289,14 @@ void FlowSim::affected_component(double max_flows) {
       if (f.visit_epoch == visit_epoch_) continue;
       f.visit_epoch = visit_epoch_;
       comp_slots_.push_back(s);
-      // Warm-start dispatch only needs to know the component is oversized,
-      // not its full membership: stop the BFS (and skip the sort — contents
-      // become a size witness only) as soon as that is proven, which turns
-      // an incast resolve's O(component) discovery into O(threshold).
-      if (max_flows >= 0.0 &&
-          static_cast<double>(comp_slots_.size()) > max_flows) {
-        comp_truncated_ = true;
+      // The whole-set dispatch only needs to know the component is
+      // oversized, not its full membership: stop the BFS (and skip the
+      // sort — contents become a size witness only) as soon as that is
+      // proven, which turns an incast resolve's O(component) discovery into
+      // O(threshold).
+      if (static_cast<double>(comp_slots_.size()) > max_flows) {
         link_q_.clear();
-        return;
+        return true;
       }
       for (int pl : f.path) {
         const auto plu = static_cast<std::size_t>(pl);
@@ -306,6 +311,7 @@ void FlowSim::affected_component(double max_flows) {
     return slots_[static_cast<std::size_t>(a)].id <
            slots_[static_cast<std::size_t>(b)].id;
   });
+  return false;
 }
 
 void FlowSim::component_from(int seed) {
@@ -348,8 +354,7 @@ void FlowSim::component_from(int seed) {
   });
 }
 
-int FlowSim::ledger_prefix(const std::vector<int>& members,
-                           bool allow_arrival, int* arrival) {
+int FlowSim::ledger_prefix(const std::vector<int>& members, int* arrival) {
   *arrival = -1;
   if (delta_.mixed) return 0;
   std::uint64_t pass = 0;
@@ -357,7 +362,7 @@ int FlowSim::ledger_prefix(const std::vector<int>& members,
   if (delta_.removed > 0 && delta_.arrivals == 0) {
     pass = delta_.pass;  // removal-only: replay the levels below k*
     cut = delta_.min_level;
-  } else if (!(delta_.removed == 0 && delta_.arrivals == 1 && allow_arrival)) {
+  } else if (!(delta_.removed == 0 && delta_.arrivals == 1)) {
     return 0;  // anything but removal-only or one arrival solves cold
   }
   // Every member but the arrival must carry one live stamp (for an arrival,
@@ -402,8 +407,8 @@ void FlowSim::solve_component(const std::vector<int>& comp, SolveStats* ss) {
   int arrival = -1;
   const std::size_t lvl_cap = replay_level_.capacity();
   const std::size_t rank_cap = level_rank_.capacity();
-  const int levels = ledger_prefix(comp, true, &arrival);
-  const bool use_prefix = levels >= kMinComponentReplayLevels;
+  const int levels = ledger_prefix(comp, &arrival);
+  const bool use_prefix = levels >= kMinReplayLevels;
   // Pack a compact sub-problem into the persistent CSR arena: only the
   // component's links, densely renumbered in first-encounter order
   // (ascending flow id), which makes the restricted solve's arithmetic
@@ -450,7 +455,6 @@ void FlowSim::solve_component(const std::vector<int>& comp, SolveStats* ss) {
     ledger_pass_[su] = pass;
     ledger_level_[su] = comp_levels_[i];
   }
-  if (ss->replayed_flows > 0) ++stats_.component_prefix_hits;
   stats_.replayed_flows += static_cast<std::uint64_t>(ss->replayed_flows);
   // A steady-state re-solve touches no allocator at all; count it. (The
   // count is thread-count independent — everything here runs on the
@@ -469,70 +473,17 @@ void FlowSim::solve_component(const std::vector<int>& comp, SolveStats* ss) {
   if (!grew) reuse.inc();
   // Counted write-back: `applied` are results that change a rate, `skipped`
   // are provable no-ops (set_rate's own early-out condition, evaluated here
-  // so both counters exist on every solve path). Reference mode
-  // (`incremental_writeback = false`) still routes the no-ops through
-  // set_rate — that is the whole-set write the differential test compares
-  // against.
+  // so both counters exist on every solve path).
   std::uint64_t applied = 0;
   for (std::size_t i = 0; i < comp.size(); ++i) {
     Flow& f = slots_[static_cast<std::size_t>(comp[i])];
     const double r = comp_rates_[i];
-    const bool noop = r == f.rate && (r > 0.0 || f.stalled);
-    if (!noop) {
+    if (!(r == f.rate && (r > 0.0 || f.stalled))) {
       set_rate(f.id, f, r);
       ++applied;
-    } else if (!cfg_.incremental_writeback) {
-      set_rate(f.id, f, r);
     }
   }
   note_writeback(applied, static_cast<std::uint64_t>(comp.size()) - applied);
-}
-
-bool FlowSim::warm_memo_lookup() {
-  // The max-min solution is a pure function of (capacities, member paths in
-  // ascending-id order): if the concatenated path stream of the active set
-  // matches a cached generation under the same capacity epoch, its rate
-  // vector applies verbatim — member *ids* may differ (a completed flow
-  // replaced by an identically-routed one), positions and paths are what
-  // determine the arithmetic.
-  const std::uint64_t cap_epoch = fabric_.capacity_epoch();
-  const std::size_t members = active_order_.size();
-  for (WarmMemo& m : memo_) {
-    if (!m.valid) continue;
-    if (m.cap_epoch != cap_epoch) {
-      // A capacity epoch that moved under a valid generation is an
-      // invalidation: with per-overlay epochs (DESIGN.md §10) only THIS
-      // session's fail/restore/override calls can trip it, which is exactly
-      // what the serving-layer isolation tests count.
-      ++stats_.warm_memo_stale;
-      continue;
-    }
-    if (m.offsets.size() != members + 1) continue;
-    bool match = true;
-    for (std::size_t i = 0; i < members && match; ++i) {
-      const Flow& f = slots_[static_cast<std::size_t>(active_order_[i])];
-      const auto b = static_cast<std::size_t>(m.offsets[i]);
-      const auto e = static_cast<std::size_t>(m.offsets[i + 1]);
-      match = (e - b == f.path.size()) &&
-              std::equal(f.path.begin(), f.path.end(), m.stream.begin() + b);
-    }
-    if (!match) continue;
-    std::uint64_t applied = 0;
-    for (std::size_t i = 0; i < members; ++i) {
-      Flow& f = slots_[static_cast<std::size_t>(active_order_[i])];
-      const double r = m.rates[i];
-      const bool noop = r == f.rate && (r > 0.0 || f.stalled);
-      if (!noop) {
-        set_rate(f.id, f, r);
-        ++applied;
-      } else if (!cfg_.incremental_writeback) {
-        set_rate(f.id, f, r);
-      }
-    }
-    note_writeback(applied, static_cast<std::uint64_t>(members) - applied);
-    return true;
-  }
-  return false;
 }
 
 void FlowSim::note_writeback(std::uint64_t applied, std::uint64_t skipped) {
@@ -829,7 +780,7 @@ bool FlowSim::warm_single_bottleneck(SolveStats* ss) {
   // contribute ~1 materialised write per churn instead of one per active
   // flow. A zero rate or a stalled survivor needs set_rate's stall
   // bookkeeping at *this* instant — those stay eager, as does reference
-  // mode (`incremental_writeback = false`, the whole-set write).
+  // mode (`incremental_writeback = false`).
   if (cfg_.incremental_writeback && stalled_ == 0 && min_share > 0.0) {
     if (pending_uniform_ && eng_.now() != pending_time_) materialize_pending();
     if (!pending_uniform_) {
@@ -851,12 +802,9 @@ bool FlowSim::warm_single_bottleneck(SolveStats* ss) {
   std::uint64_t applied = 0;
   for (int s : active_order_) {
     Flow& f = slots_[static_cast<std::size_t>(s)];
-    const bool noop = min_share == f.rate && (min_share > 0.0 || f.stalled);
-    if (!noop) {
+    if (!(min_share == f.rate && (min_share > 0.0 || f.stalled))) {
       set_rate(f.id, f, min_share);
       ++applied;
-    } else if (!cfg_.incremental_writeback) {
-      set_rate(f.id, f, min_share);
     }
   }
   note_writeback(applied,
@@ -865,17 +813,12 @@ bool FlowSim::warm_single_bottleneck(SolveStats* ss) {
 }
 
 void FlowSim::warm_solve(SolveStats* ss) {
-  // Whole-active-set re-solve without leaving the simulator's persistent
-  // state: no BFS completion, no id sort, no CSR re-pack, no link renumber.
-  // `active_order_` is already the cold solve's flow visit order and each
-  // `flows_on_link_` list is already in the cold solve's
-  // transposed-incidence order (ascending flow id), so running the
-  // water-filling loop of `max_min_rates_csr` directly over them performs
-  // the same arithmetic in the same order — rates are bit-identical to the
-  // cold path (the differential suite pins this). Every flow is
-  // unit-weight here; the frozen-prefix replay relies on that.
-  const std::size_t members = active_order_.size();
-  const std::uint64_t cap_epoch = fabric_.capacity_epoch();
+  // Whole-active-set re-solve. `active_order_` is already the cold solve's
+  // flow visit order (ascending id), so handing it to the component solver
+  // packs the same CSR problem the cold full solve would build — no BFS
+  // completion, no sort — and runs the same core with the same ledger
+  // replay: rates are bit-identical to the cold path (the differential
+  // suite pins this).
   static obs::Counter& warm_hits =
       obs::metrics().counter("net.solver.warmstart.hit");
   static obs::ShardedStats& frontier_stat =
@@ -891,280 +834,16 @@ void FlowSim::warm_solve(SolveStats* ss) {
     return;
   }
 
-  // From here on the solve compares against and writes `f.rate` (memo
-  // replay and the general water-filling both go through set_rate): the
-  // parked uniform rate must be settled first or the early-out comparisons
-  // and accrual would read stale values.
+  // The solve compares against and writes `f.rate`: the parked uniform rate
+  // must be settled first or its early-out comparisons and accrual would
+  // read stale values.
   materialize_pending();
-
-  if (warm_memo_lookup()) {
-    ++stats_.warm_memo_hits;
-    frontier_stat.add(0.0);
-    retire_ledger();  // rates set without levels
-    return;
-  }
-
-  if (warm_batch_.size() < slots_.size()) {
-    warm_batch_.resize(slots_.size(), 0);
-    warm_rate_.resize(slots_.size(), 0.0);
-  }
-  const auto& caps = fabric_.effective_capacities();
-  if (warm_resid_.size() < caps.size()) {
-    warm_resid_.resize(caps.size(), 0.0);
-    warm_aw_.resize(caps.size(), 0.0);
-  }
-
-  // Encounter pass: residual capacity, unfrozen weight and the active-link
-  // list in first-seen order over flows in ascending id — exactly how the
-  // CSR core initialises its scratch from a packed problem. Since ISSUE 10
-  // warm_resid_/warm_aw_ are POSITION-indexed (dense SoA parallel to
-  // warm_links_, contiguous for the scan kernel); link_local_id_ under the
-  // current remap epoch maps link id -> position, exactly as the component
-  // packer uses it.
-  ++remap_epoch_;
-  warm_links_.clear();
-  for (int s : active_order_) {
-    for (int l : slots_[static_cast<std::size_t>(s)].path) {
-      const auto lu = static_cast<std::size_t>(l);
-      if (link_remap_epoch_[lu] != remap_epoch_) {
-        link_remap_epoch_[lu] = remap_epoch_;
-        const double c = caps[lu];
-        if (!std::isfinite(c) || c < 0.0)
-          throw std::invalid_argument(
-              "max_min_rates: capacities must be finite and >= 0");
-        const std::size_t p = warm_links_.size();
-        link_local_id_[lu] = static_cast<int>(p);
-        warm_resid_[p] = c;
-        warm_aw_[p] = 1.0;
-        warm_links_.push_back(l);
-      } else {
-        warm_aw_[static_cast<std::size_t>(link_local_id_[lu])] += 1.0;
-      }
-    }
-  }
-
-  // Tandem compaction of the dense block (replaces the id-indexed erase):
-  // links whose unfrozen-crosser count hit zero leave the list, survivors
-  // keep first-seen order and get re-pointed positions. Unit weights make
-  // the threshold exact — warm_aw_ holds whole numbers, so <= 1e-12 means
-  // exactly zero, and an erased link can never be crossed by a flow that
-  // freezes later (no unfrozen flow crosses it), so its stamp is cleared
-  // rather than re-pointed.
-  auto compact_live = [&] {
-    std::size_t w = 0;
-    for (std::size_t i = 0; i < warm_links_.size(); ++i) {
-      const int l = warm_links_[i];
-      const auto lu = static_cast<std::size_t>(l);
-      if (warm_aw_[i] <= 1e-12) {
-        link_remap_epoch_[lu] = 0;
-        continue;
-      }
-      warm_links_[w] = l;
-      warm_resid_[w] = warm_resid_[i];
-      warm_aw_[w] = warm_aw_[i];
-      link_local_id_[lu] = static_cast<int>(w);
-      ++w;
-    }
-    warm_links_.resize(w);
-  };
-
-  // The prefix decision reads the ledger, so it precedes this pass's stamps.
-  int no_arrival = -1;
-  const int levels = ledger_prefix(active_order_, false, &no_arrival);
-  ++pass_;
-  std::size_t remaining = members;
-  std::int64_t iterations = 0;
-  std::int64_t bottlenecks = 0;
-  // Change-list: flows whose frozen rate will differ from the currently
-  // applied one, recorded at freeze time (f.rate is untouched until the
-  // final write-back, so the set_rate early-out condition evaluated here is
-  // exactly the one the write-back would hit). Replayed flows are never
-  // pushed: a replay freezes each flow at its own current `f.rate`, and a
-  // live rate-0 flow is always stalled after its first applied solve, so
-  // the early-out condition provably holds for them.
-  changed_slots_.clear();
-
-  // Frozen-prefix replay from the ledger, removal-only deltas: with k* the
-  // minimum freeze level among the removed flows, every freeze below level
-  // k* is provably bit-unchanged (DESIGN.md §9 gives the argument), so
-  // re-apply the recorded levels in order instead of re-deriving them.
-  // `f.rate` still holds the recorded rate of every replayed flow: every
-  // resolve that sets rates either writes the ledger or retires it.
-  std::size_t replayed = 0;
-  if (levels > 0) {
-    group_by_level(replay_level_.data(), members, levels, replay_off_,
-                   replay_order_);
-    for (int k = 1; k <= levels; ++k) {
-      for (int gi = replay_off_[static_cast<std::size_t>(k)];
-           gi < replay_off_[static_cast<std::size_t>(k) + 1]; ++gi) {
-        const int s = active_order_[static_cast<std::size_t>(
-            replay_order_[static_cast<std::size_t>(gi)])];
-        const auto su = static_cast<std::size_t>(s);
-        const Flow& f = slots_[su];
-        ledger_pass_[su] = pass_;
-        ledger_level_[su] = k;
-        warm_rate_[su] = f.rate;
-        for (int l : f.path) {
-          // Replayed flows' links are all in this epoch's encounter set, and
-          // no compaction has run yet, so the position is always live.
-          const auto p = static_cast<std::size_t>(
-              link_local_id_[static_cast<std::size_t>(l)]);
-          warm_resid_[p] -= f.rate;
-          warm_aw_[p] -= 1.0;
-        }
-      }
-    }
-    replayed = static_cast<std::size_t>(replay_off_[static_cast<std::size_t>(levels) + 1]);
-    remaining -= replayed;
-    // One stable compaction reproduces the incremental per-iteration erases
-    // the cold solve performs across the replayed levels (unit weights make
-    // the threshold exact: active weights are whole numbers, so <= 1e-12
-    // means exactly zero at every intermediate step too).
-    compact_live();
-    // Iteration parity with the cold solve: it runs exactly the replayed
-    // levels before reaching new work.
-    iterations = levels;
-    ++stats_.warm_prefix_hits;
-    stats_.replayed_flows += replayed;
-  }
-
-  const double inf = std::numeric_limits<double>::infinity();
-  // Same dispatched kernel as the CSR core: a branch-free sweep over the
-  // dense position-indexed block (simd.hpp pins scalar == AVX2 bitwise).
-  const MinShareScanFn kernel = min_share_scan();
-  const SolverTuning& tun = solver_tuning();
-  auto scan_min = [&](std::size_t b, std::size_t e) {
-    return kernel(warm_resid_.data(), warm_aw_.data(), b, e);
-  };
-
-  std::int64_t parallel_scans = 0;
-  while (remaining > 0) {
-    ++iterations;
-    const std::size_t n_active = warm_links_.size();
-    const bool par_scan = n_active >= tun.parallel_scan_threshold;
-    if (par_scan) ++parallel_scans;
-    const double min_share =
-        par_scan ? sim::parallel_reduce(
-                       n_active, tun.scan_grain, inf, scan_min,
-                       [](double a, double b) { return std::min(a, b); })
-                 : scan_min(0, n_active);
-    if (!std::isfinite(min_share))
-      throw std::runtime_error(
-          "max_min_rates: no finite bottleneck share for remaining flows");
-    const double cutoff = min_share;  // exact ties only, matching the cores
-    const int level = static_cast<int>(iterations);
-    for (std::size_t pi = 0; pi < n_active; ++pi) {
-      const double aw = warm_aw_[pi];
-      if (aw <= 0.0) continue;
-      if (std::max(0.0, warm_resid_[pi]) / aw > cutoff) continue;
-      const auto lu = static_cast<std::size_t>(warm_links_[pi]);
-      ++bottlenecks;
-      const auto& on = flows_on_link_[lu];
-      // Same serial-vs-batch split as the CSR core (see solver.hpp on why
-      // the batch path is bit-identical); unit rates make the per-link
-      // subtraction values within one batch all equal to min_share.
-      std::size_t batch = 0;
-      if (n_active >= tun.parallel_scan_threshold) {
-        for (int s : on)
-          if (ledger_pass_[static_cast<std::size_t>(s)] != pass_) ++batch;
-      }
-      if (batch < tun.parallel_update_min) {
-        for (int s : on) {
-          const auto su = static_cast<std::size_t>(s);
-          if (ledger_pass_[su] == pass_) continue;
-          ledger_pass_[su] = pass_;
-          ledger_level_[su] = level;
-          warm_rate_[su] = min_share;
-          const Flow& ff = slots_[su];
-          if (!(min_share == ff.rate && (min_share > 0.0 || ff.stalled)))
-            changed_slots_.push_back(s);
-          --remaining;
-          for (int pl : slots_[su].path) {
-            // Every link of a flow unfrozen until now still has unfrozen
-            // crossers, so it survived every compaction and its position
-            // under the current epoch is live (unit-weight argument above).
-            const auto p = static_cast<std::size_t>(
-                link_local_id_[static_cast<std::size_t>(pl)]);
-            warm_resid_[p] -= min_share;
-            warm_aw_[p] -= 1.0;
-          }
-        }
-      } else {
-        ++warm_batch_epoch_;
-        for (int s : on) {
-          const auto su = static_cast<std::size_t>(s);
-          if (ledger_pass_[su] == pass_) continue;
-          ledger_pass_[su] = pass_;
-          ledger_level_[su] = level;
-          warm_rate_[su] = min_share;
-          warm_batch_[su] = warm_batch_epoch_;
-          const Flow& ff = slots_[su];
-          if (!(min_share == ff.rate && (min_share > 0.0 || ff.stalled)))
-            changed_slots_.push_back(s);
-          --remaining;
-        }
-        sim::parallel_for(
-            n_active, tun.scan_grain, [&](std::size_t b, std::size_t e) {
-              for (std::size_t i = b; i < e; ++i) {
-                const auto lu2 = static_cast<std::size_t>(warm_links_[i]);
-                for (int s : flows_on_link_[lu2]) {
-                  const auto su = static_cast<std::size_t>(s);
-                  if (warm_batch_[su] != warm_batch_epoch_) continue;
-                  warm_resid_[i] -= warm_rate_[su];
-                  warm_aw_[i] -= 1.0;
-                }
-              }
-            });
-      }
-    }
-    compact_live();
-  }
-
-  // Memo for the next resolve's replay path, then apply rates (set_rate
-  // early-outs keep accrual schedules bitwise aligned with the cold path).
-  WarmMemo& m = memo_[memo_next_];
-  memo_next_ ^= 1;
-  m.valid = true;
-  m.cap_epoch = cap_epoch;
-  m.stream.clear();
-  m.offsets.clear();
-  m.rates.clear();
-  m.offsets.push_back(0);
-  for (int s : active_order_) {
-    const Flow& f = slots_[static_cast<std::size_t>(s)];
-    m.stream.insert(m.stream.end(), f.path.begin(), f.path.end());
-    m.offsets.push_back(static_cast<int>(m.stream.size()));
-    m.rates.push_back(warm_rate_[static_cast<std::size_t>(s)]);
-  }
-
-  const std::size_t frontier = members - replayed;
+  solve_component(active_order_, ss);
+  if (ss->replayed_flows > 0) ++stats_.warm_prefix_hits;
+  const auto frontier = active_order_.size() -
+                        static_cast<std::size_t>(ss->replayed_flows);
   stats_.frontier_flows += frontier;
   frontier_stat.add(static_cast<double>(frontier));
-  if (ss) {
-    ss->iterations = iterations;
-    ss->bottleneck_links = bottlenecks;
-    ss->parallel_scans = parallel_scans;
-  }
-
-  if (cfg_.incremental_writeback) {
-    // Only flows whose rate actually moves reach set_rate; the order is
-    // freeze order rather than ascending id, which is immaterial — each
-    // write touches one flow's independent state at one instant.
-    for (int s : changed_slots_) {
-      Flow& f = slots_[static_cast<std::size_t>(s)];
-      set_rate(f.id, f, warm_rate_[static_cast<std::size_t>(s)]);
-    }
-    note_writeback(changed_slots_.size(), members - changed_slots_.size());
-  } else {
-    std::uint64_t applied = 0;
-    for (int s : active_order_) {
-      Flow& f = slots_[static_cast<std::size_t>(s)];
-      const double r = warm_rate_[static_cast<std::size_t>(s)];
-      if (!(r == f.rate && (r > 0.0 || f.stalled))) ++applied;
-      set_rate(f.id, f, r);
-    }
-    note_writeback(applied, members - applied);
-  }
 }
 
 void FlowSim::resolve_and_schedule() {
@@ -1195,7 +874,7 @@ void FlowSim::resolve_and_schedule() {
     ++stats_.full_solves;
     comp_slots_.clear();
   } else {
-    if (cfg_.warm_start && cfg_.incremental_writeback) {
+    if (cfg_.incremental_writeback) {
       // Incremental single-bottleneck verdict from the maintained top-2
       // share summary: a "yes" skips the BFS, the O(live links) scan AND
       // the write-back — the uniform rate is parked for lazy,
@@ -1225,28 +904,14 @@ void FlowSim::resolve_and_schedule() {
       // writes `f.rate` materialises at its own entry instead — this is what
       // keeps same-instant start bursts (scenario injection, the bench ramp)
       // from paying one whole-set write per bailed verdict.
-      // With warm start enabled the BFS may stop early: it only has to
-      // prove the component oversized — the warm solve re-derives
-      // membership from `active_order_` itself, so `comp_slots_` is just a
-      // size lower bound.
-      const double limit =
-          cfg_.fallback_fraction * static_cast<double>(active_count_);
-      affected_component(cfg_.warm_start ? limit : -1.0);
+      // The BFS may stop early: it only has to prove the component
+      // oversized — the whole-set solve takes its members from
+      // `active_order_`, so `comp_slots_` is then just a size lower bound.
+      warm = affected_component(cfg_.fallback_fraction *
+                                static_cast<double>(active_count_));
       stats_.largest_component = std::max<std::uint64_t>(
           stats_.largest_component, comp_slots_.size());
-      if (comp_truncated_ ||
-          static_cast<double>(comp_slots_.size()) > limit) {
-        if (cfg_.warm_start) {
-          warm = true;
-          ++stats_.warm_solves;
-        } else {
-          full = true;
-          ++stats_.fallback_solves;
-          static obs::Counter& warm_fb =
-              obs::metrics().counter("net.solver.warmstart.fallback");
-          warm_fb.inc();
-        }
-      }
+      if (warm) ++stats_.warm_solves;
     }
   }
 
@@ -1259,23 +924,15 @@ void FlowSim::resolve_and_schedule() {
     // first-flow-id order. Per-component solutions equal the global solution
     // bit-for-bit (the PR 4 component-vs-global property pins this), each
     // component goes through the persistent CSR path, and stats sum in
-    // component order — same rates and same counts as the old
-    // `max_min_rates_components` route, but a fallback solve now allocates
-    // nothing once warm either.
+    // component order — same rates and same counts as the
+    // `max_min_rates_components` route, but allocation-free once warm.
     //
     // The reference path replays nothing: with every stamp retired first,
     // no component finds a live prefix. The passes it records are per
     // component, so the stamps it leaves are valid ledger entries.
     retire_ledger();
-    order_.clear();
-    for (std::size_t s = 0; s < slots_.size(); ++s)
-      if (slots_[s].id != 0) order_.push_back(static_cast<int>(s));
-    std::sort(order_.begin(), order_.end(), [this](int a, int b) {
-      return slots_[static_cast<std::size_t>(a)].id <
-             slots_[static_cast<std::size_t>(b)].id;
-    });
     ++visit_epoch_;
-    for (int seed : order_) {
+    for (int seed : active_order_) {
       if (slots_[static_cast<std::size_t>(seed)].visit_epoch == visit_epoch_)
         continue;
       component_from(seed);
@@ -1283,25 +940,23 @@ void FlowSim::resolve_and_schedule() {
       solve_component(comp_slots_, &cs);
       ss.iterations += cs.iterations;
       ss.bottleneck_links += cs.bottleneck_links;
-      ss.parallel_scans += cs.parallel_scans;
     }
-    comp_slots_ = order_;  // solved set, for the drop sweep below
+    comp_slots_ = active_order_;  // solved set, for the drop sweep below
   } else if (!comp_slots_.empty()) {
     ++stats_.component_solves;
     materialize_pending();  // solve_component compares and writes `f.rate`
     solve_component(comp_slots_, &ss);
+    if (ss.replayed_flows > 0) ++stats_.component_prefix_hits;
   }
   const std::vector<int>& solved = warm ? active_order_ : comp_slots_;
   stats_.flows_solved += solved.size();
   stats_.solver_iterations += static_cast<std::uint64_t>(ss.iterations);
   stats_.bottleneck_links += static_cast<std::uint64_t>(ss.bottleneck_links);
-  stats_.parallel_scans += static_cast<std::uint64_t>(ss.parallel_scans);
 
   // Per-solve observability: component size, which solve path ran, and
   // solver effort — the numbers that explain where resolve time goes.
-  // `reason` records *why* a full solve was taken: 0 = no fallback (warm or
-  // restricted solve), 1 = incremental disabled, 2 = component exceeded
-  // fallback_fraction with warm start disabled.
+  // `reason` records *why* a full solve was taken: 0 = none (whole-set or
+  // restricted solve), 1 = incremental disabled.
   obs::tracer().instant(
       "net",
       warm ? "resolve_warm" : full ? "resolve_full" : "resolve_component",
@@ -1309,7 +964,7 @@ void FlowSim::resolve_and_schedule() {
       {{"flows", static_cast<double>(solved.size())},
        {"active", static_cast<double>(active_count_)},
        {"iterations", static_cast<double>(ss.iterations)},
-       {"reason", full ? (!cfg_.incremental ? 1.0 : 2.0) : 0.0}});
+       {"reason", full ? 1.0 : 0.0}});
   {
     static obs::Counter& resolves = obs::metrics().counter("net.resolves");
     static obs::Counter& fulls = obs::metrics().counter("net.full_solves");

@@ -12,13 +12,14 @@
 // dirty link (flows in other components share no links with it, so their
 // max-min rates are provably unchanged — the global solution is the union of
 // per-component solutions). When the affected component exceeds a configured
-// fraction of the active set, the whole active set is re-solved warm, in
-// place over the persistent incidence (`warm_start = false` makes that a
-// cold whole-set solve instead; `incremental = false` always solves the
-// whole set cold, and serves as the baseline of the differential tests in
-// tests/test_flowsim.cpp, which assert bit-for-bit equality on randomized
-// churn). Both the component and the warm re-solve re-freeze the levels
-// their delta cannot change from a per-flow freeze ledger (DESIGN.md §9).
+// fraction of the active set, the whole active set is re-solved instead
+// (DESIGN.md §9): first the single-bottleneck closed form, else the same CSR
+// core over every active flow in ascending id order. `incremental = false`
+// always solves the whole set cold, component by component, and serves as
+// the baseline of the differential tests in tests/test_flowsim.cpp, which
+// assert bit-for-bit equality on randomized churn. Component and whole-set
+// re-solves alike re-freeze the levels their delta cannot change from a
+// per-flow freeze ledger (DESIGN.md §9).
 //
 // Storage is flat (DESIGN.md §8): flows live in a slot arena with a free
 // list, per-link incidence holds slot indices, and the restricted re-solve
@@ -52,20 +53,15 @@ struct FlowSimConfig {
   bool incremental = true;
   // Hand the resolve to a whole-set solve when the affected component holds
   // more than this fraction of the active flows (the restricted solve would
-  // not be cheaper).
+  // not be cheaper). The whole-set solve needs no BFS completion and no id
+  // sort: the simulator keeps its active flows in ascending id order.
   double fallback_fraction = 0.5;
-  // Above the fallback fraction, re-solve the whole active set *in place*
-  // over the persistently maintained flow/link incidence (warm start,
-  // DESIGN.md §9): no BFS completion, no id sort, no CSR repack, plus a
-  // solution memo and a removal-only replay from the freeze ledger. Rates
-  // are bit-identical to the cold path. `false` restores the PR 5 behaviour —
-  // a cold full re-solve — which stays available as the reference oracle.
-  bool warm_start = true;
-  // Apply solver results through the change-list write-back (DESIGN.md §9):
-  // only flows whose computed rate differs from the applied rate reach
-  // `set_rate`, and same-instant uniform (single-bottleneck) rates coalesce
-  // lazily, materialising once per distinct timestamp. `false` restores the
-  // whole-set write — the reference for the write-back differential tests.
+  // Park single-bottleneck rates lazily (DESIGN.md §9): a uniform rate from
+  // the closed form, or from the incremental verdict that only this mode
+  // runs, is recorded once and materialised once per distinct timestamp
+  // instead of being written to every flow. `false` writes it eagerly —
+  // the reference for the write-back differential tests. Either way only
+  // results that change a flow's rate do any work in `set_rate`.
   bool incremental_writeback = true;
   StallPolicy stall_policy = StallPolicy::Stall;
 };
@@ -82,13 +78,14 @@ class FlowSim {
   // Start a flow of `bytes` from endpoint `src` to `dst`; `on_done` fires at
   // the simulated completion time (transfer time only; callers add software
   // overheads and propagation latency). Routes directly into the slot's
-  // reusable path buffer (allocation-free on minimal routing). Throws
-  // std::out_of_range, leaving every state untouched, when an endpoint is
-  // outside the topology.
+  // reusable path buffer (allocation-free on minimal routing). Throws,
+  // leaving every state untouched, std::invalid_argument when `bytes` is not
+  // finite and std::out_of_range when an endpoint is outside the topology.
   std::uint64_t start(int src, int dst, double bytes, Done on_done);
 
   // Start a flow along an explicit path (e.g. storage traffic to OST
-  // endpoints with custom capacities).
+  // endpoints with custom capacities). Rejects a non-finite `bytes` and a
+  // bad path the same way, before any state changes.
   std::uint64_t start_on_path(std::vector<int> path, double bytes, Done on_done);
 
   std::size_t active_flows() const { return active_count_; }
@@ -100,7 +97,7 @@ class FlowSim {
   // flow was added or removed. Links not carried by any active flow are
   // ignored; out-of-range ids throw. The caller bumps the overlay epoch
   // (set_link_capacity/set_link_capacities) *before* calling this, which is
-  // what retires the warm memo and the single-bottleneck summary.
+  // what retires the freeze ledger and the single-bottleneck summary.
   void notify_capacity_change(const std::vector<int>& links);
 
   // Zero-rate flows currently parked (StallPolicy::Stall) / removed so far
@@ -114,27 +111,23 @@ class FlowSim {
   struct Stats {
     std::uint64_t resolves = 0;          // resolve passes over a non-empty set
     std::uint64_t full_solves = 0;       // whole-set solves (incremental off)
-    std::uint64_t fallback_solves = 0;   // threshold exceeded, cold full solve
-    std::uint64_t warm_solves = 0;       // threshold exceeded, warm-start solve
+    std::uint64_t warm_solves = 0;       // threshold exceeded, whole-set solve
     std::uint64_t warm_single_hits = 0;  // single-bottleneck closed-form solves
-    std::uint64_t warm_memo_hits = 0;    // warm solves replayed from the memo
-    std::uint64_t warm_memo_stale = 0;   // memo generations skipped: epoch moved
-    std::uint64_t warm_prefix_hits = 0;  // warm solves that replayed a prefix
+    // Always 0 (there is no solution memo); kept because perfbench reads them.
+    std::uint64_t warm_memo_hits = 0;
+    std::uint64_t warm_memo_stale = 0;
+    std::uint64_t warm_prefix_hits = 0;  // whole-set solves that replayed
     std::uint64_t component_solves = 0;  // restricted re-solves
     // Restricted re-solves that re-froze a prefix from the freeze ledger.
     std::uint64_t component_prefix_hits = 0;
     // Flows re-frozen from the freeze ledger instead of water-filled, on
-    // the component and the warm path.
+    // the component and the whole-set path.
     std::uint64_t replayed_flows = 0;
     std::uint64_t flows_solved = 0;      // flows handed to the solver, total
-    std::uint64_t frontier_flows = 0;    // flows actually iterated warm-start
+    // Flows water-filled (not replayed) by whole-set solves.
+    std::uint64_t frontier_flows = 0;
     std::uint64_t solver_iterations = 0;
     std::uint64_t bottleneck_links = 0;
-    // Water-filling iterations whose min-share scan crossed the
-    // SolverTuning::parallel_scan_threshold gate and ran as a chunked
-    // parallel reduce over the dense SoA (scan_engaged% in the bench
-    // counters = parallel_scans / solver_iterations).
-    std::uint64_t parallel_scans = 0;
     std::uint64_t largest_component = 0;
     // Rate write-back accounting: `applied` counts solver results that
     // actually changed a flow's rate (a `set_rate` that does work),
@@ -192,27 +185,23 @@ class FlowSim {
   void remove_flow(int slot);  // unlinks + frees the slot; marks links dirty
   void set_rate(std::uint64_t id, Flow& f, double rate);
   // Fills `comp_slots_` with the slots of every flow reachable from the
-  // dirty links via shared-link adjacency, ascending flow-id order. When
-  // `max_flows` >= 0 the BFS stops (and skips the sort — `comp_truncated_`
-  // is set, the contents are only a size witness) as soon as the component
-  // provably exceeds the fallback threshold.
-  void affected_component(double max_flows);
-  // Whole-active-set warm-start solve (DESIGN.md §9): memo lookup, then
-  // removal-only replay from the freeze ledger, then in-place water-filling
-  // over the persistent flow/link incidence. Bit-identical to the cold full
-  // solve.
+  // dirty links via shared-link adjacency, ascending flow-id order, and
+  // returns false. Returns true instead — `comp_slots_` unsorted, only a
+  // size witness — as soon as the component provably holds more than
+  // `max_flows` flows.
+  bool affected_component(double max_flows);
+  // Whole-active-set solve (DESIGN.md §9): the single-bottleneck closed
+  // form, else `solve_component(active_order_)`.
   void warm_solve(SolveStats* ss);
-  bool warm_memo_lookup();  // true on hit; rates already applied
   // Freeze ledger (DESIGN.md §9). `retire_ledger` makes every recorded
   // stamp stale at once. `ledger_prefix` decides from this resolve's delta
   // whether `members` (ascending id) may replay a recorded prefix: it
   // writes each member's renumbered prefix level (0 = not replayed) into
   // `replay_level_` and returns the number of levels, 0 when the members
   // must be solved cold. `*arrival` receives the arrival's member index
-  // (-1 if none); without `allow_arrival`, a delta with an arrival is cold.
+  // (-1 if none).
   void retire_ledger() { ledger_floor_ = pass_; }
-  int ledger_prefix(const std::vector<int>& members, bool allow_arrival,
-                    int* arrival);
+  int ledger_prefix(const std::vector<int>& members, int* arrival);
   // Single-bottleneck closed form: if exactly one live link fires under the
   // water-filling cutoff computed against the *initial* state and every
   // active flow crosses it, the whole solve collapses to rate = min_share
@@ -232,8 +221,11 @@ class FlowSim {
   double remaining_eff_at(const Flow& f, double t) const;
   void note_writeback(std::uint64_t applied, std::uint64_t skipped);
   // Same, seeded from one flow under the caller's visit epoch — the full
-  // solve sweeps components with this so fallbacks stay allocation-free.
+  // solve sweeps components with this so it stays allocation-free.
   void component_from(int seed);
+  // Packs `comp` (ascending id) into the CSR arena, solves it with the
+  // ledger prefix its delta allows, records the new ledger entries and
+  // writes back the rates that changed.
   void solve_component(const std::vector<int>& comp, SolveStats* ss);
   void resolve_and_schedule();
 
@@ -261,13 +253,10 @@ class FlowSim {
   SolveScratch solve_scratch_;
   std::vector<int> comp_slots_;
   std::vector<int> link_q_;      // BFS frontier
-  std::vector<int> order_;       // full solve: active slots by ascending id
-  bool comp_truncated_ = false;  // affected_component stopped at max_flows
-  // --- warm start (DESIGN.md §9) ----------------------------------------
   // Active slots in ascending flow-id order, maintained incrementally
   // (append on start — ids are monotonic — ordered erase on removal). This
-  // is exactly the order the cold full solve visits flows in, so the warm
-  // pass can skip the per-resolve rebuild + sort.
+  // is exactly the order the cold full solve visits flows in, so both
+  // whole-set paths walk it directly, with no rebuild or sort.
   std::vector<int> active_order_;
   // Links with at least one active crosser, maintained incrementally (append
   // on first insert, lazily compacted when a scan meets an emptied link).
@@ -275,24 +264,12 @@ class FlowSim {
   // enough for the order-free single-bottleneck scan.
   std::vector<int> live_links_;
   std::vector<char> live_link_in_;          // [link] membership flag
-  // Dense link-state SoA for the warm water-filling loop (ISSUE 10):
-  // warm_resid_/warm_aw_ are indexed by POSITION in warm_links_, kept
-  // contiguous for the branch-free min-share scan kernel (net/simd.hpp);
-  // link_local_id_ under the current remap epoch maps link id -> position,
-  // and compaction rewrites all three in tandem.
-  std::vector<int> warm_links_;             // touched links, first-seen order
-  std::vector<double> warm_resid_;          // [position] residual capacity
-  std::vector<double> warm_aw_;             // [position] unfrozen crossers
-  std::vector<double> warm_rate_;           // [slot] rate solved this pass
-  std::vector<std::uint64_t> warm_batch_;   // [slot] parallel-update stamp
-  std::uint64_t warm_batch_epoch_ = 0;
   // --- freeze ledger (DESIGN.md §9) --------------------------------------
   // Per slot: the id of the solve pass that last froze the flow, and its
-  // 1-based level in that pass. Component and warm solves both write it;
-  // during a warm pass `ledger_pass_[slot] == pass_` doubles as the frozen
-  // flag. A stamp <= `ledger_floor_` is stale: resolves that set rates
-  // without levels, Drop sweeps and capacity-epoch moves retire every stamp
-  // at once by raising the floor.
+  // 1-based level in that pass, written by every water-filling solve. A
+  // stamp <= `ledger_floor_` is stale: resolves that set rates without
+  // levels, Drop sweeps and capacity-epoch moves retire every stamp at once
+  // by raising the floor.
   std::vector<std::uint64_t> ledger_pass_;  // [slot]
   std::vector<int> ledger_level_;           // [slot]
   std::uint64_t pass_ = 0;
@@ -312,35 +289,16 @@ class FlowSim {
   } delta_;
   std::vector<int> replay_level_;  // [member] renumbered prefix level
   std::vector<int> level_rank_;    // [recorded level] renumbering table
-  std::vector<int> replay_off_;    // warm replay: level groups
-  std::vector<int> replay_order_;  //   over active_order_ positions
   std::vector<double> comp_prev_rate_;  // [member] rate before this solve
   std::vector<int> comp_levels_;        // [member] level in this solve
-  // Two-generation solution memo keyed on the exact member path stream (id
-  // order) + capacity epoch: repeated traffic shapes replay their rate
-  // vector wholesale with an empty frontier.
-  struct WarmMemo {
-    bool valid = false;
-    std::uint64_t cap_epoch = 0;
-    std::vector<int> stream;    // concatenated member paths, id order
-    std::vector<int> offsets;   // [members + 1] into stream
-    std::vector<double> rates;  // per member, id order
-  };
-  WarmMemo memo_[2];
-  int memo_next_ = 0;
-  // --- incremental write-back (DESIGN.md §9) ----------------------------
-  // Change-list the warm water-filling loop builds while freezing: slots
-  // whose computed rate differs from the currently applied rate (or that
-  // must stall). The final write-back touches only these.
-  std::vector<int> changed_slots_;
-  // Lazy uniform rate: a successful single-bottleneck resolve parks its
-  // (rate, time) here instead of writing every flow. Same-instant re-solves
-  // overwrite it (zero-width rate segments perform no accrual arithmetic in
-  // the eager path either, so coalescing is bitwise exact); any read or
-  // later-time resolve materialises it first. `pending_mixed_` records
-  // whether more than one distinct value was parked this instant — if so,
-  // the eager path would have accrued every flow at `pending_time_`, so the
-  // materialisation must too.
+  // Lazy uniform rate (DESIGN.md §9): a successful single-bottleneck
+  // resolve parks its (rate, time) here instead of writing every flow.
+  // Same-instant re-solves overwrite it (zero-width rate segments perform no
+  // accrual arithmetic in the eager path either, so coalescing is bitwise
+  // exact); any read or later-time resolve materialises it first.
+  // `pending_mixed_` records whether more than one distinct value was
+  // parked this instant — if so, the eager path would have accrued every
+  // flow at `pending_time_`, so the materialisation must too.
   bool pending_uniform_ = false;
   double pending_rate_ = 0.0;
   double pending_time_ = 0.0;

@@ -13,16 +13,6 @@
 namespace xscale::net {
 
 namespace {
-// Process-wide tuning. Read once per solve on the calling thread (worker
-// chunks never consult it), so mutation while solves are in flight is a
-// caller error — same contract as sim::set_thread_count.
-SolverTuning g_tuning;
-}  // namespace
-
-const SolverTuning& solver_tuning() { return g_tuning; }
-void set_solver_tuning(const SolverTuning& t) { g_tuning = t; }
-
-namespace {
 
 // Malformed inputs must not silently become garbage rates (NaN capacities
 // survive the share arithmetic as 0 via std::max, and with -DNDEBUG a bare
@@ -93,34 +83,19 @@ std::vector<double> solve_core_reference(
     }
   }
 
-  const double inf = std::numeric_limits<double>::infinity();
-  auto scan_min = [&](std::size_t b, std::size_t e) {
-    double m = inf;
-    for (std::size_t i = b; i < e; ++i) {
-      const auto lu = static_cast<std::size_t>(active_links[i]);
-      if (active_w[lu] <= 0.0) continue;
-      m = std::min(m, std::max(0.0, residual[lu]) / active_w[lu]);
-    }
-    return m;
-  };
-
-  const SolverTuning& tun = solver_tuning();
   std::size_t remaining = nf;
   std::int64_t iterations = 0;
   std::int64_t bottlenecks = 0;
-  std::int64_t parallel_scans = 0;
   while (remaining > 0) {
     ++iterations;
     // Find the smallest per-weight share among links with unfrozen flows.
-    // min is exact for doubles, so chunked parallel scan == serial scan.
-    const bool par_scan = active_links.size() >= tun.parallel_scan_threshold;
-    if (par_scan) ++parallel_scans;
-    const double min_share =
-        par_scan
-            ? sim::parallel_reduce(
-                  active_links.size(), tun.scan_grain, inf, scan_min,
-                  [](double a, double b) { return std::min(a, b); })
-            : scan_min(0, active_links.size());
+    double min_share = std::numeric_limits<double>::infinity();
+    for (int l : active_links) {
+      const auto lu = static_cast<std::size_t>(l);
+      if (active_w[lu] <= 0.0) continue;
+      min_share =
+          std::min(min_share, std::max(0.0, residual[lu]) / active_w[lu]);
+    }
     // No link constrains the remaining flows (e.g. every unfrozen flow has
     // weight 0, so its links never activate): there is no finite max-min
     // allocation.
@@ -167,7 +142,6 @@ std::vector<double> solve_core_reference(
   if (stats) {
     stats->iterations = iterations;
     stats->bottleneck_links = bottlenecks;
-    stats->parallel_scans = parallel_scans;
   }
   return rate;
 }
@@ -189,8 +163,9 @@ void dsu_unite(std::vector<int>& parent, int a, int b) {
   if (a != b) parent[static_cast<std::size_t>(b)] = a;
 }
 
-}  // namespace
-
+// Stable counting sort of the flows [0, n) with level[f] in 1..levels into
+// `order`, grouped by level: group k is order[off[k] .. off[k+1]). Flows at
+// level 0 are skipped. Returns whether a buffer had to grow.
 bool group_by_level(const int* level, std::size_t n, int levels,
                     std::vector<int>& off, std::vector<int>& order) {
   const auto nl = static_cast<std::size_t>(levels);
@@ -210,6 +185,8 @@ bool group_by_level(const int* level, std::size_t n, int levels,
   off[0] = 0;
   return grew;
 }
+
+}  // namespace
 
 void max_min_rates_csr(const double* capacities, std::size_t num_links,
                        const PathsCsr& paths, const double* weights,
@@ -238,7 +215,6 @@ void max_min_rates_csr(const double* capacities, std::size_t num_links,
   grew |= ensure(s.t_off, num_links + 1);
   grew |= ensure(s.t_cursor, num_links);
   grew |= ensure(s.t_flow, nnz);
-  grew |= ensure(s.batch_mark, nf);
   if (s.active_links.capacity() < num_links) {
     grew = true;
     s.active_links.reserve(num_links);
@@ -299,14 +275,8 @@ void max_min_rates_csr(const double* capacities, std::size_t num_links,
     }
   }
 
-  const double inf = std::numeric_limits<double>::infinity();
-  // One kernel resolution per solve; every chunk (serial or parallel) runs
-  // the same code, so the result is independent of chunking (simd.hpp).
+  // One kernel resolution per solve (simd.hpp pins scalar == AVX2 bitwise).
   const MinShareScanFn kernel = min_share_scan();
-  const SolverTuning& tun = solver_tuning();
-  auto scan_min = [&](std::size_t b, std::size_t e) {
-    return kernel(s.residual.data(), s.active_w.data(), b, e);
-  };
 
   // Tandem compaction: drop links with no remaining unfrozen flows,
   // keeping positions dense and first-seen-ordered (what std::erase_if
@@ -331,7 +301,6 @@ void max_min_rates_csr(const double* capacities, std::size_t num_links,
   std::size_t remaining = nf;
   std::int64_t iterations = 0;
   std::int64_t bottlenecks = 0;
-  std::int64_t parallel_scans = 0;
   std::int64_t replayed = 0;
   if (prefix) {
     // Re-freeze the recorded levels in order, each flow at its recorded
@@ -413,13 +382,8 @@ void max_min_rates_csr(const double* capacities, std::size_t num_links,
   while (remaining > 0) {
     ++iterations;
     const std::size_t n_active = s.active_links.size();
-    const bool par_scan = n_active >= tun.parallel_scan_threshold;
-    if (par_scan) ++parallel_scans;
     const double min_share =
-        par_scan ? sim::parallel_reduce(
-                       n_active, tun.scan_grain, inf, scan_min,
-                       [](double a, double b) { return std::min(a, b); })
-                 : scan_min(0, n_active);
+        kernel(s.residual.data(), s.active_w.data(), 0, n_active);
     if (!std::isfinite(min_share))
       throw std::runtime_error(
           "max_min_rates: no finite bottleneck share for remaining flows");
@@ -435,69 +399,23 @@ void max_min_rates_csr(const double* capacities, std::size_t num_links,
       if (std::max(0.0, s.residual[pi]) / aw > cutoff) continue;
       const auto lu = static_cast<std::size_t>(s.active_links[pi]);
       ++bottlenecks;
-      // Firing-link batch size decides serial vs parallel update. The count
-      // pass only runs when the problem is big enough for the parallel path
-      // to possibly engage, and the gate reads problem state only — same
-      // decision at every thread count.
-      std::size_t batch = 0;
-      if (n_active >= tun.parallel_scan_threshold) {
-        for (int ti = s.t_off[lu]; ti < s.t_off[lu + 1]; ++ti)
-          if (!s.frozen[static_cast<std::size_t>(
-                  s.t_flow[static_cast<std::size_t>(ti)])])
-            ++batch;
-      }
-      if (batch < tun.parallel_update_min) {
-        for (int ti = s.t_off[lu]; ti < s.t_off[lu + 1]; ++ti) {
-          const auto fu = static_cast<std::size_t>(s.t_flow[static_cast<std::size_t>(ti)]);
-          if (s.frozen[fu]) continue;
-          s.frozen[fu] = 1;
-          rates_out[fu] = min_share * w_of(fu);
-          if (levels_out) levels_out[fu] = static_cast<int>(iterations);
-          --remaining;
-          for (int pi2 = off[fu]; pi2 < off[fu + 1]; ++pi2) {
-            // Links already compacted off the active list take no further
-            // subtractions; their dense cells are dead and never read
-            // (pre-SoA code subtracted into dead id-indexed cells — same
-            // observable state, DESIGN.md §9).
-            const int p = s.link_pos[static_cast<std::size_t>(lids[pi2])];
-            if (p < 0) continue;
-            s.residual[static_cast<std::size_t>(p)] -= rates_out[fu];
-            s.active_w[static_cast<std::size_t>(p)] -= w_of(fu);
-          }
+      for (int ti = s.t_off[lu]; ti < s.t_off[lu + 1]; ++ti) {
+        const auto fu = static_cast<std::size_t>(s.t_flow[static_cast<std::size_t>(ti)]);
+        if (s.frozen[fu]) continue;
+        s.frozen[fu] = 1;
+        rates_out[fu] = min_share * w_of(fu);
+        if (levels_out) levels_out[fu] = static_cast<int>(iterations);
+        --remaining;
+        for (int pi2 = off[fu]; pi2 < off[fu + 1]; ++pi2) {
+          // Links already compacted off the active list take no further
+          // subtractions; their dense cells are dead and never read
+          // (pre-SoA code subtracted into dead id-indexed cells — same
+          // observable state, DESIGN.md §9).
+          const int p = s.link_pos[static_cast<std::size_t>(lids[pi2])];
+          if (p < 0) continue;
+          s.residual[static_cast<std::size_t>(p)] -= rates_out[fu];
+          s.active_w[static_cast<std::size_t>(p)] -= w_of(fu);
         }
-      } else {
-        // Freeze the whole batch first (no subtractions), then apply the
-        // updates per link in transposed-incidence order. No residual or
-        // active-weight value is read between the first freeze and the last
-        // subtraction of a batch on the serial path either, so deferring is
-        // exact; within one batch the serial per-flow subtraction order
-        // restricted to any link is ascending flow id == t_flow order. The
-        // sweep covers active positions (index-disjoint writes); per link
-        // the subtraction sequence matches the serial walk exactly.
-        ++s.batch_epoch;
-        for (int ti = s.t_off[lu]; ti < s.t_off[lu + 1]; ++ti) {
-          const auto fu = static_cast<std::size_t>(s.t_flow[static_cast<std::size_t>(ti)]);
-          if (s.frozen[fu]) continue;
-          s.frozen[fu] = 1;
-          rates_out[fu] = min_share * w_of(fu);
-          if (levels_out) levels_out[fu] = static_cast<int>(iterations);
-          s.batch_mark[fu] = s.batch_epoch;
-          --remaining;
-        }
-        sim::parallel_for(
-            n_active, tun.scan_grain, [&](std::size_t b, std::size_t e) {
-              for (std::size_t p2 = b; p2 < e; ++p2) {
-                const auto l2 =
-                    static_cast<std::size_t>(s.active_links[p2]);
-                for (int ti = s.t_off[l2]; ti < s.t_off[l2 + 1]; ++ti) {
-                  const auto fu = static_cast<std::size_t>(
-                      s.t_flow[static_cast<std::size_t>(ti)]);
-                  if (s.batch_mark[fu] != s.batch_epoch) continue;
-                  s.residual[p2] -= rates_out[fu];
-                  s.active_w[p2] -= w_of(fu);
-                }
-              }
-            });
       }
     }
     compact();
@@ -506,7 +424,6 @@ void max_min_rates_csr(const double* capacities, std::size_t num_links,
   if (stats) {
     stats->iterations = iterations;
     stats->bottleneck_links = bottlenecks;
-    stats->parallel_scans = parallel_scans;
     stats->replayed_flows = replayed;
   }
 }
@@ -708,7 +625,6 @@ std::vector<double> max_min_rates_components(
     for (const SolveStats& st : comp_stats) {
       stats->iterations += st.iterations;
       stats->bottleneck_links += st.bottleneck_links;
-      stats->parallel_scans += st.parallel_scans;
     }
   }
   return rate;

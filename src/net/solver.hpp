@@ -10,9 +10,12 @@
 // (`PathsCsr`), the transposed link->flow incidence is rebuilt into a
 // caller-owned `SolveScratch` by counting sort, and a steady-state re-solve
 // performs zero heap allocations once the scratch has warmed to the problem
-// size (DESIGN.md §8). The `std::vector`-of-`std::vector` entry points are
-// retained as thin adapters (and `max_min_rates_reference` as the original
-// implementation) so differential tests can pin the CSR core bit-for-bit.
+// size (DESIGN.md §8). It is one of exactly two water-filling loops: every
+// FlowSim re-solve (component and whole-set) and every adapter below runs
+// it, and `max_min_rates_reference`, the original implementation, is kept as
+// the differential oracle that pins it bit-for-bit. Each solve runs
+// serially on its calling thread; parallelism lives a level up, across the
+// components of `max_min_rates_components` and across serving sessions.
 #pragma once
 
 #include <cstddef>
@@ -21,51 +24,11 @@
 
 namespace xscale::net {
 
-// Parallelisation gates shared by the CSR core and FlowSim's warm-start
-// solve (flowsim.cpp mirrors the core loop over its persistent incidence,
-// DESIGN.md §9). Below parallel_scan_threshold active links the serial
-// min-scan wins; above it the scan is farmed out in scan_grain-link chunks
-// (min over doubles is exact and order-independent, so the parallel reduce
-// returns the same bits). A single firing link freezing at least
-// parallel_update_min flows has its residual / active-weight updates applied
-// by a parallel per-link sweep instead of the serial per-flow walk. Only
-// batches from ONE firing link qualify: within such a batch the subtraction
-// order projected onto any other link is ascending flow id — exactly the
-// transposed-incidence order — so the parallel sweep performs the same
-// subtractions per link in the same order and the result is bit-identical
-// to the serial path (the gates depend only on problem state, never on the
-// thread count — and never on which scan kernel is dispatched).
-//
-// Defaults come from the ISSUE 10 crossover sweep (DESIGN.md §9 records the
-// measurements and derivation). Summary: the SIMD kernel scans at ~1
-// ns/link (scalar ~2), one pool fork/join region costs ~2-9 µs depending on
-// host and thread count, so the 4-thread scan break-even sits at ~3-8k
-// links — the pre-SIMD 4096 threshold is still mid-band and stays (a
-// cheaper serial baseline RAISES the scan crossover; it does not lower it).
-// The update gate moves instead: one batched-update item is a whole path's
-// subtractions (~15-30 ns, ~10x a scan link), so its measured crossover is
-// ~300-500 flows and the gate drops 2048 -> 512. scan_grain halves to 1024:
-// a chunk is then ~1-2 µs of kernel work, still far above per-chunk
-// queueing cost, with half the tail imbalance. Override via
-// set_solver_tuning (only while no solve is in flight, same contract as
-// sim::set_thread_count).
-struct SolverTuning {
-  std::size_t parallel_scan_threshold = 4096;
-  std::size_t scan_grain = 1024;
-  std::size_t parallel_update_min = 512;
-};
-const SolverTuning& solver_tuning();
-void set_solver_tuning(const SolverTuning& t);
-
 struct SolveStats {
   // int64: per-component totals accumulated across long churn runs overflow
   // 32 bits (a week-long storage campaign re-solves billions of times).
   std::int64_t iterations = 0;
   std::int64_t bottleneck_links = 0;
-  // Water-filling iterations whose min-share scan crossed the
-  // parallel_scan_threshold gate and ran as a chunked parallel reduce
-  // (scan_engaged% in the bench counters = parallel_scans / iterations).
-  std::int64_t parallel_scans = 0;
   // Flows re-frozen from a `FreezePrefix` instead of water-filled.
   std::int64_t replayed_flows = 0;
 };
@@ -122,11 +85,6 @@ struct SolveScratch {
   std::vector<int> t_off;     // [num_links + 1]
   std::vector<int> t_cursor;  // [num_links] fill cursors
   std::vector<int> t_flow;    // [nnz]
-  // Parallel rate-update support: flows frozen by the current large batch
-  // carry the current epoch, so the per-link update sweep can identify them
-  // without any per-solve clearing (epoch grows monotonically).
-  std::vector<std::uint64_t> batch_mark;  // [num_flows]
-  std::uint64_t batch_epoch = 0;
   // Freeze-prefix replay: prefix flows grouped by level (counting sort), and
   // per arrival link the number of prefix flows per level that cross it.
   std::vector<int> replay_off;   // [levels + 2]
@@ -160,19 +118,13 @@ struct FreezePrefix {
   int arrival = -1;  // flow index of the single arrival, or -1
 };
 
-// Stable counting sort of the flows [0, n) with level[f] in 1..levels into
-// `order`, grouped by level: group k is order[off[k] .. off[k+1]). Flows at
-// level 0 are skipped. Returns whether a buffer had to grow.
-bool group_by_level(const int* level, std::size_t n, int levels,
-                    std::vector<int>& off, std::vector<int>& order);
-
 // Water-filling over a CSR path set. Writes one rate per flow into
 // `rates_out` (size >= paths.num_flows()). Link ids must lie in
 // [0, num_links); `weights` (nullable) has one entry per flow. Validation
 // matches `max_min_rates`: non-finite/negative capacities or weights throw
 // std::invalid_argument, an unbounded allocation throws std::runtime_error.
 // Bit-for-bit identical to `max_min_rates_reference` on the same input — the
-// differential suite pins this at every thread count. `prefix` (nullable)
+// differential suite pins this. `prefix` (nullable)
 // is re-frozen first; `levels_out` (nullable, size >= num_flows) receives
 // each flow's 1-based freeze level, replayed levels included, so that
 // `stats->iterations` and the levels are those of the cold solve.

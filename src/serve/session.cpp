@@ -1,6 +1,7 @@
 #include "serve/session.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <stdexcept>
 #include <string>
 
@@ -13,7 +14,6 @@ net::FlowSim::Stats stats_delta(const net::FlowSim::Stats& after,
   net::FlowSim::Stats d;
   d.resolves = after.resolves - before.resolves;
   d.full_solves = after.full_solves - before.full_solves;
-  d.fallback_solves = after.fallback_solves - before.fallback_solves;
   d.warm_solves = after.warm_solves - before.warm_solves;
   d.warm_single_hits = after.warm_single_hits - before.warm_single_hits;
   d.warm_memo_hits = after.warm_memo_hits - before.warm_memo_hits;
@@ -75,8 +75,9 @@ void ScenarioSession::validate(const Scenario& sc) const {
       throw std::invalid_argument("scenario: bad flow endpoints " +
                                   std::to_string(f.src) + " -> " +
                                   std::to_string(f.dst));
-    if (!(f.bytes > 0))
-      throw std::invalid_argument("scenario: flow bytes must be > 0");
+    if (!(f.bytes > 0) || !std::isfinite(f.bytes))
+      throw std::invalid_argument(
+          "scenario: flow bytes must be finite and > 0");
     if (!(f.start_s >= 0))
       throw std::invalid_argument("scenario: flow start must be >= 0");
   }

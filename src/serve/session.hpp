@@ -10,8 +10,8 @@
 //
 // Sessions are deliberately *stateful* between scenarios: the overlay is
 // diffed (not rebuilt) against the next scenario's failure set, so a repeated
-// failure set bumps no capacity epoch, and the FlowSim warm-start memo
-// (DESIGN.md §9) replays repeated traffic shapes wholesale. A sweep that
+// failure set bumps no capacity epoch and keeps the FlowSim freeze ledger
+// (DESIGN.md §9) and the session's solver scratch live. A sweep that
 // perturbs one link per probe pays for one link, not for the machine.
 #pragma once
 
@@ -51,8 +51,7 @@ struct ScenarioResult {
   std::vector<double> completion_s;
   double makespan_s = 0;
   std::uint64_t dropped = 0;
-  // Solver-effort delta for this scenario (memo/warm hit accounting — the
-  // serving tests read `warm_memo_stale` to prove sibling isolation).
+  // Solver-effort delta for this scenario (whole-set and replay accounting).
   net::FlowSim::Stats stats;
   // Overlay epoch after applying the scenario (diff-applied: identical
   // repeated scenarios leave it unchanged).

@@ -6,6 +6,7 @@
 
 #include <cstdint>
 #include <cstdio>
+#include <limits>
 #include <optional>
 #include <stdexcept>
 #include <string>
@@ -138,8 +139,8 @@ TEST(FlowSimIncremental, DifferentialOracleOnRandomChurn) {
       EXPECT_EQ(completed, total);
       EXPECT_EQ(fs.active_flows(), 0u);
       EXPECT_GT(checks, 2000);  // the differential actually exercised rates
-      // The point of the machinery: restricted solves happened and dominated.
-      EXPECT_GT(fs.stats().component_solves, fs.stats().fallback_solves);
+      // The point of the machinery: restricted solves happened.
+      EXPECT_GT(fs.stats().component_solves, 0u);
       if (fam.rotor) {
         EXPECT_GT(rotor->transitions(), 100u);
       }
@@ -303,6 +304,50 @@ TEST(FlowSim, StartOnPathRejectsBadPathsWithoutSideEffects) {
   EXPECT_EQ(fs.active_flows(), 0u);
 }
 
+// A NaN or infinite size would hold a flow's links forever: it would never
+// drain, complete or stall. Both entry points reject it before any state
+// changes — routing included, so the adaptive router's RNG and load counts
+// are untouched and the rest of the run is bit-identical to one without the
+// rejected calls.
+TEST(FlowSim, StartRejectsNonFiniteBytesWithoutSideEffects) {
+  const double kBad[] = {std::numeric_limits<double>::quiet_NaN(),
+                         std::numeric_limits<double>::infinity(),
+                         -std::numeric_limits<double>::infinity()};
+  auto run = [&](bool with_rejected) {
+    sim::Engine eng;
+    net::Fabric fabric(
+        topo::Topology::uniform_dragonfly(4, {4, 2}, 1, 25e9, 180e-9),
+        net::FabricConfig{});
+    net::FlowSim fs(eng, fabric);
+    std::vector<double> done;
+    const std::uint64_t first =
+        fs.start(1, 5, 1e9, [&] { done.push_back(eng.now()); });
+    if (with_rejected) {
+      const auto stats = fs.stats();
+      const auto pending = eng.pending_events();
+      for (double bytes : kBad) {
+        EXPECT_THROW(fs.start(0, 5, bytes, [] {}), std::invalid_argument)
+            << bytes;
+        EXPECT_THROW(fs.start_on_path({0, 1}, bytes, [] {}),
+                     std::invalid_argument)
+            << bytes;
+      }
+      EXPECT_EQ(fs.active_flows(), 1u);
+      EXPECT_TRUE(fs.stats() == stats);
+      EXPECT_EQ(eng.pending_events(), pending);
+    }
+    // The next valid start takes the next id.
+    EXPECT_EQ(fs.start(0, 5, 1e9, [&] { done.push_back(eng.now()); }),
+              first + 1);
+    eng.run();
+    EXPECT_EQ(fs.active_flows(), 0u);
+    return done;
+  };
+  const auto clean = run(false);
+  ASSERT_EQ(clean.size(), 2u);
+  EXPECT_EQ(run(true), clean);
+}
+
 // ------------------------------------------------------------ rate floor ---
 
 TEST(FlowSim, FlowOverDownedLinkStallsVisiblyInsteadOfTrickling) {
@@ -413,22 +458,23 @@ enum class Shape { Incast, AllToAll, Permutation };
 
 // Deterministic churn of `total` flows in the given traffic shape with a
 // ~24-flow replacement window; returns the completion-time sequence. The
-// same seed drives every configuration, so any divergence between warm and
-// cold (or across thread counts) shows up as a completion-time mismatch.
-// On the rotor family every run carries a live RotorSchedule: warm and cold
-// cross identical slot boundaries, so the bitwise contract covers wholesale
-// slot-capacity churn as well.
+// same seed drives every configuration, so any divergence between the
+// incremental and the cold full solve (or across thread counts) shows up as
+// a completion-time mismatch. On the rotor family every run carries a live
+// RotorSchedule: both modes cross identical slot boundaries, so the bitwise
+// contract covers wholesale slot-capacity churn as well.
 std::vector<double> run_shape(const FabricFamily& fam, Shape shape,
-                              bool warm_start, int threads, int* oracle_checks,
+                              bool incremental, int threads, int* oracle_checks,
                               bool incremental_writeback = true,
                               net::FlowSim::Stats* out_stats = nullptr) {
   sim::set_thread_count(threads);
   sim::Engine eng;
   auto fabric = fam.make(net::Routing::Minimal);
   // A low fallback fraction pushes even moderate merged components through
-  // the warm (or, with warm_start off, the cold fallback) whole-set path.
+  // the whole-set path.
   net::FlowSim fs(eng, fabric,
-                  {.fallback_fraction = 0.25, .warm_start = warm_start,
+                  {.incremental = incremental,
+                   .fallback_fraction = 0.25,
                    .incremental_writeback = incremental_writeback});
   std::optional<net::RotorSchedule> rotor;
   if (fam.rotor) {
@@ -471,10 +517,9 @@ std::vector<double> run_shape(const FabricFamily& fam, Shape shape,
   eng.run();
   EXPECT_EQ(completed, total) << fam.name;
   if (out_stats) *out_stats = fs.stats();
-  if (warm_start && shape == Shape::Incast) {
-    // The cliff pattern must actually ride the new path, not fall back.
+  if (incremental && shape == Shape::Incast) {
+    // The cliff pattern must actually ride the whole-set path.
     EXPECT_GT(fs.stats().warm_solves, 0u) << fam.name;
-    EXPECT_EQ(fs.stats().fallback_solves, 0u) << fam.name;
     // On the static families it mostly rides the single-bottleneck closed
     // form (one ejection link is the unique minimum and every flow crosses
     // it). The rotor run usually holds stalled flows (dark matchings), which
@@ -486,10 +531,11 @@ std::vector<double> run_shape(const FabricFamily& fam, Shape shape,
   return times;
 }
 
-// The tentpole contract: the warm-start whole-set solve is bit-identical to
-// the cold full solve (and both to the reference oracle) under incast,
-// all-to-all and permutation churn, at every thread count — on every
-// topology family (dragonfly, oversubscribed fat-tree, live-slotted rotor).
+// The whole-set contract: incremental churn with whole-set re-solves is
+// bit-identical to the cold full solve (and both to the reference oracle)
+// under incast, all-to-all and permutation churn, at every thread count —
+// on every topology family (dragonfly, oversubscribed fat-tree,
+// live-slotted rotor).
 TEST(FlowSimWarmStart, MatchesColdAndOracleAcrossShapesAndThreads) {
   ThreadCountGuard guard;
   for (const FabricFamily& fam : kFamilies) {
@@ -497,11 +543,11 @@ TEST(FlowSimWarmStart, MatchesColdAndOracleAcrossShapesAndThreads) {
     for (Shape shape : {Shape::Incast, Shape::AllToAll, Shape::Permutation}) {
       sim::set_thread_count(1);
       const auto baseline =
-          run_shape(fam, shape, /*warm_start=*/false, 1, nullptr);
+          run_shape(fam, shape, /*incremental=*/false, 1, nullptr);
       for (int threads : {1, 2, 8}) {
         int checks = 0;
         const auto times =
-            run_shape(fam, shape, /*warm_start=*/true, threads, &checks);
+            run_shape(fam, shape, /*incremental=*/true, threads, &checks);
         ASSERT_EQ(times.size(), baseline.size());
         for (std::size_t i = 0; i < times.size(); ++i)
           EXPECT_EQ(times[i], baseline[i])
@@ -514,55 +560,13 @@ TEST(FlowSimWarmStart, MatchesColdAndOracleAcrossShapesAndThreads) {
 }
 
 // Property: repeated no-op churn — add a flow, let it complete, add an
-// identically-routed one — settles into pure memo replay: the warm solve
-// recognises the recurring path streams, the frontier stops growing, and
-// rates stay oracle-exact.
-TEST(FlowSimWarmStart, NoOpChurnReplaysFromMemoWithEmptyFrontier) {
-  sim::Engine eng;
-  auto fabric = small_dragonfly(net::Routing::Minimal);
-  net::FlowSim fs(eng, fabric);
-  // Two incast groups with different fan-in (13 flows into endpoint 0,
-  // 11 into endpoint 1) make a genuinely multi-level solution, so the
-  // single-bottleneck closed form declines and the memo is what serves the
-  // recurring streams.
-  for (int s = 4; s < 17; ++s) fs.start(s, 0, 1e12, [] {});
-  for (int s = 17; s < 28; ++s) fs.start(s, 1, 1e12, [] {});
-  const int cycles = 6;
-  int done = 0;
-  std::uint64_t frontier_at_first_cycle = 0;
-  std::uint64_t memo_hits_at_last_cycle = 0;
-  std::uint64_t frontier_at_last_cycle = 0;
-  std::function<void()> tick = [&] {
-    fs.start(100, 0, 1e3, [&] {
-      ++done;
-      if (done == 1) frontier_at_first_cycle = fs.stats().frontier_flows;
-      if (done < cycles) {
-        tick();
-      } else {
-        memo_hits_at_last_cycle = fs.stats().warm_memo_hits;
-        frontier_at_last_cycle = fs.stats().frontier_flows;
-        check_against_oracle(fs, fabric);
-      }
-    });
-  };
-  tick();
-  eng.run();
-  // Every resolve after the first full add/remove cycle replays the memo:
-  // removals return to the 24-flow base state, re-adds reproduce the 25-flow
-  // stream (the new flow appends at the end with an identical path).
-  EXPECT_EQ(memo_hits_at_last_cycle,
-            static_cast<std::uint64_t>(2 * cycles - 1));
-  EXPECT_EQ(frontier_at_last_cycle, frontier_at_first_cycle);
-  EXPECT_EQ(fs.stats().fallback_solves, 0u);
-  EXPECT_GT(fs.stats().warm_solves, 0u);
-}
-
-// Regression (ISSUE 7 satellite 1): redundant fail/restore calls — failing an
-// already-failed link, restoring a never-failed one — are no-ops that must not
-// bump the capacity epoch, so memo hits survive them. Before the idempotency
-// fix each redundant call invalidated both memo generations and the no-op
-// churn above degraded to full warm solves.
-TEST(FlowSimWarmStart, MemoHitsSurviveRedundantFailRestore) {
+// identically-routed one — returns to the same state every cycle, so every
+// cycle must reproduce the first one's rates bit for bit, and they must
+// equal the oracle's. Every completion also hammers the fabric with
+// redundant fail/restore calls (failing an already-failed link, restoring a
+// never-failed one): those are no-ops that must leave the capacity epoch,
+// and therefore the rates, unchanged.
+TEST(FlowSimWarmStart, NoOpChurnAndRedundantFailRestoreKeepRates) {
   sim::Engine eng;
   auto fabric = small_dragonfly(net::Routing::Minimal);
   net::FlowSim fs(eng, fabric);
@@ -570,31 +574,40 @@ TEST(FlowSimWarmStart, MemoHitsSurviveRedundantFailRestore) {
   const int never_failed = fabric.topology().ejection_link(61);
   ASSERT_TRUE(fabric.fail_link(dead));
   const std::uint64_t epoch_after_fail = fabric.capacity_epoch();
-  // Same recurring-stream shape as NoOpChurnReplaysFromMemoWithEmptyFrontier,
-  // but every completion hammers the fabric with redundant fail/restore.
+  // Two incast groups with different fan-in (13 flows into endpoint 0,
+  // 11 into endpoint 1) make a genuinely multi-level solution, so the
+  // single-bottleneck closed form declines and the whole-set core runs.
   for (int s = 4; s < 17; ++s) fs.start(s, 0, 1e12, [] {});
   for (int s = 17; s < 28; ++s) fs.start(s, 1, 1e12, [] {});
+  auto rates_now = [&] {
+    std::vector<double> rates;
+    fs.for_each_flow([&](std::uint64_t, const std::vector<int>&, double,
+                         double r) { rates.push_back(r); });
+    return rates;
+  };
+  const auto base_rates = rates_now();
   const int cycles = 6;
   int done = 0;
-  std::uint64_t memo_hits_at_last_cycle = 0;
+  std::vector<double> loaded_rates;  // with the churned flow active
   std::function<void()> tick = [&] {
     fs.start(100, 0, 1e3, [&] {
       ++done;
       EXPECT_FALSE(fabric.fail_link(dead));             // already failed
       EXPECT_FALSE(fabric.restore_link(never_failed));  // never failed
-      if (done < cycles) {
-        tick();
-      } else {
-        memo_hits_at_last_cycle = fs.stats().warm_memo_hits;
-      }
+      EXPECT_EQ(fabric.capacity_epoch(), epoch_after_fail);
+      EXPECT_EQ(rates_now(), base_rates) << "cycle " << done;
+      check_against_oracle(fs, fabric);
+      if (done < cycles) tick();
     });
+    if (loaded_rates.empty()) loaded_rates = rates_now();
+    EXPECT_EQ(rates_now(), loaded_rates) << "cycle " << done + 1;
+    check_against_oracle(fs, fabric);
   };
   tick();
   eng.run();
+  EXPECT_EQ(done, cycles);
   EXPECT_EQ(fabric.capacity_epoch(), epoch_after_fail);
-  EXPECT_EQ(fs.stats().warm_memo_stale, 0u);
-  EXPECT_EQ(memo_hits_at_last_cycle,
-            static_cast<std::uint64_t>(2 * cycles - 1));
+  EXPECT_GT(fs.stats().warm_solves, 0u);
 }
 
 // Regression (ISSUE 7 satellite 4): a resolve that throws std::invalid_argument
@@ -620,12 +633,12 @@ TEST(FlowSimWarmStart, FailedResolveLeavesSimulatorReSolvable) {
   check_against_oracle(fs, fabric);
 }
 
-// The warm solve's batched update path — one firing link freezing more than
-// parallel_update_min flows in a set touching more than
-// parallel_scan_threshold links — pinned against the oracle at every thread
-// count. Synthetic paths give the scale without a 4096-endpoint topology:
-// every incast flow crosses the shared link 0 plus two private links.
-TEST(FlowSimWarmStart, BatchedUpdatePathMatchesOracleAcrossThreads) {
+// A large whole-set solve — one firing link freezing 2,100 flows in a set
+// touching more than 4,000 links — pinned against the oracle at every
+// thread count. Synthetic paths give the scale without a 4096-endpoint
+// topology: every incast flow crosses the shared link 0 plus two private
+// links.
+TEST(FlowSimWarmStart, LargeIncastMatchesOracleAcrossThreads) {
   ThreadCountGuard guard;
   for (int threads : {1, 2, 8}) {
     sim::set_thread_count(threads);
@@ -635,7 +648,6 @@ TEST(FlowSimWarmStart, BatchedUpdatePathMatchesOracleAcrossThreads) {
     const std::size_t incast = 2100;
     const std::size_t extras = 50;
     ASSERT_GE(fabric.topology().links().size(), 1 + 2 * incast);
-    ASSERT_GT(incast, net::solver_tuning().parallel_update_min);
     net::FlowSim fs(eng, fabric);
     int done = 0;
     for (std::size_t f = 0; f < incast; ++f)
@@ -645,68 +657,28 @@ TEST(FlowSimWarmStart, BatchedUpdatePathMatchesOracleAcrossThreads) {
     // Extra flows that do NOT cross link 0 (each rides one incast flow's
     // private link): with them present, link 0 no longer covers the whole
     // active set, so the single-bottleneck closed form declines and the
-    // resolve runs the general warm loop — whose first iteration freezes
-    // the 2100-flow batch through the parallel update path under test.
+    // resolve runs the CSR core, whose first iteration freezes the
+    // 2100-flow batch.
     for (std::size_t g = 0; g < extras; ++g)
       fs.start_on_path({static_cast<int>(1 + 2 * g)}, 1e9, [&] { ++done; });
     check_against_oracle(fs, fabric);
     EXPECT_GT(fs.stats().warm_solves, 2000u);
     EXPECT_GT(fs.stats().warm_single_hits, 0u);  // pure-incast ramp-up
     EXPECT_GT(fs.stats().warm_solves,
-              fs.stats().warm_single_hits + extras);  // general loop ran too
-    EXPECT_EQ(fs.stats().fallback_solves, 0u);
+              fs.stats().warm_single_hits + extras);  // the CSR core ran too
     eng.run();
     EXPECT_EQ(done, static_cast<int>(incast + extras));
   }
 }
 
-// Property: a removal-only delta whose removed flow froze *after* the first
-// water-filling level replays the untouched frozen prefix instead of
-// re-deriving it — here the level-1 incast victims are re-frozen wholesale
-// and only the surviving level-2 flow is iterated.
-TEST(FlowSimWarmStart, RemovalOnlyDeltaReplaysFrozenPrefix) {
-  sim::Engine eng;
-  auto fabric = small_dragonfly(net::Routing::Minimal);
-  net::FlowSim fs(eng, fabric);
-  // B goes first (so its removal later yields a path stream the two-slot
-  // memo no longer holds, forcing the frozen-prefix path rather than a memo
-  // hit): a group-2 source to an uncongested group-0 endpoint. It shares
-  // its injection and global links with the incast flows below but is alone
-  // on its ejection link, so it freezes at level 2 — and completes long
-  // before the level-1 incast victims.
-  bool b_done = false;
-  net::FlowSim::Stats after_add{};
-  fs.start(33, 12, 1e9, [&] {
-    b_done = true;
-    const auto& st = fs.stats();
-    EXPECT_EQ(st.warm_prefix_hits, after_add.warm_prefix_hits + 1);
-    EXPECT_EQ(st.warm_memo_hits, after_add.warm_memo_hits);
-    // All 16 level-1 survivors were replayed: only C (level 2) was
-    // re-derived, so this resolve contributed exactly one frontier flow.
-    EXPECT_EQ(st.frontier_flows, after_add.frontier_flows + 1);
-    check_against_oracle(fs, fabric);
-  });
-  // C persists past B's completion and also freezes at level 2 (another
-  // group-2 source alone on its group-0 ejection link). With C around, the
-  // post-removal set is not a pure single-bottleneck incast, so the closed
-  // form declines and the frozen-prefix replay is what must serve it.
-  fs.start(40, 13, 1e12, [] {});
-  // 16 incast flows pinned at level 1 by endpoint 0's ejection link; their
-  // sources include group 2, connecting them to B's and C's links.
-  for (int k = 0; k < 16; ++k) fs.start(20 + k, 0, 1e12, [] {});
-  after_add = fs.stats();  // B's completion callback fires inside run()
-  eng.run();
-  EXPECT_TRUE(b_done);
-  EXPECT_EQ(fs.stats().fallback_solves, 0u);
-}
-
 // ---------------------------------------------------- rate write-back ---
 
-// The ISSUE 8 differential: the change-list write-back (applied set) union
-// the proven no-ops (skipped set) must equal the old whole-set write, bit
-// for bit. Reference mode (`incremental_writeback = false`) routes every
-// solver result through set_rate; incremental mode applies only the change
-// list and coalesces same-instant uniform rates lazily. Identical completion
+// The write-back differential: the lazy uniform-rate park must equal the eager
+// write, bit for bit. Reference mode (`incremental_writeback = false`)
+// writes every single-bottleneck rate to every flow at once; incremental
+// mode parks it and coalesces same-instant uniform rates lazily. Both count
+// each solver result as applied (it changed a rate) or skipped (a proven
+// no-op). Identical completion
 // sequences — at every thread count — prove the two writes are the same
 // function of the solve, and the in-run oracle checks (which read rates
 // through `for_each_flow`, i.e. through any pending uniform rate) pin the
@@ -719,16 +691,16 @@ TEST(FlowSimWriteback, ChangeListEqualsWholeSetWriteBitwise) {
       sim::set_thread_count(1);
       net::FlowSim::Stats ref{};
       const auto baseline =
-          run_shape(fam, shape, /*warm_start=*/true, 1, nullptr,
+          run_shape(fam, shape, /*incremental=*/true, 1, nullptr,
                     /*incremental_writeback=*/false, &ref);
-      // Reference mode hands every solved flow through the write-back, so the
-      // counter pair partitions the whole-set write exactly.
+      // Reference mode counts every solved flow once, so the counter pair
+      // partitions the solved set exactly.
       EXPECT_EQ(ref.writeback_applied + ref.writeback_skipped, ref.flows_solved);
       EXPECT_GT(ref.writeback_applied, 0u);
       for (int threads : {1, 2, 8}) {
         int checks = 0;
         net::FlowSim::Stats inc{};
-        const auto times = run_shape(fam, shape, /*warm_start=*/true, threads,
+        const auto times = run_shape(fam, shape, /*incremental=*/true, threads,
                                      &checks, /*incremental_writeback=*/true,
                                      &inc);
         ASSERT_EQ(times.size(), baseline.size());
@@ -964,14 +936,16 @@ TEST(FlowSimLedger, ReplayMatchesOracleAndColdUnderChurnAndFailures) {
 
 // Hand-built problems over explicit paths: each flow's links get chosen
 // capacities, so the recorded levels are known exactly. Every other flow of
-// the fabric is absent, and `fallback_fraction = 1` keeps every resolve on
-// the component path.
+// the fabric is absent, and `fallback_fraction = 1` (the default here) keeps
+// every resolve on the component path.
 struct LedgerCase {
   sim::Engine eng;
   net::Fabric fabric = small_dragonfly(net::Routing::Minimal);
-  net::FlowSim fs{eng, fabric, {.fallback_fraction = 1.0}};
+  net::FlowSim fs;
 
-  explicit LedgerCase(const std::vector<std::pair<int, double>>& caps) {
+  explicit LedgerCase(const std::vector<std::pair<int, double>>& caps,
+                      double fallback_fraction = 1.0)
+      : fs(eng, fabric, {.fallback_fraction = fallback_fraction}) {
     for (const auto& [l, c] : caps) fabric.set_link_capacity(l, c);
   }
   // Reference iterations over the active set.
@@ -1121,6 +1095,61 @@ TEST(FlowSimLedger, ComponentReplaySpansAWholeSetWarmPass) {
   before = fs.stats();
   eng.run();
   EXPECT_TRUE(done);
+}
+
+// Whole-set re-solves replay the ledger too. On the three-level links
+// (`fallback_fraction = 0` routes every resolve through the whole-set path),
+// P4 {3} and P5 {3} share level 3 at (100 - 25) / 2 = 37.5.
+
+// Property: a removal-only delta whose removed flow froze at level 3
+// replays the two levels below it instead of re-deriving them — P1..P3 are
+// re-frozen wholesale and only the surviving level-3 flow is water-filled.
+TEST(FlowSimWarmStart, RemovalOnlyDeltaReplaysFrozenPrefix) {
+  LedgerCase c(three_level_caps(), /*fallback_fraction=*/0.0);
+  bool done = false;
+  net::FlowSim::Stats before{};
+  const std::vector<std::vector<int>> paths{{1, 2}, {1}, {2, 3}, {3}, {3}};
+  for (std::size_t i = 0; i < paths.size(); ++i)
+    c.fs.start_on_path(paths[i], i == 3 ? 1.0 : 1e12, [&] {
+      done = true;
+      const auto& st = c.fs.stats();
+      EXPECT_EQ(st.warm_solves, before.warm_solves + 1);
+      EXPECT_EQ(st.warm_prefix_hits, before.warm_prefix_hits + 1);
+      EXPECT_EQ(st.replayed_flows, before.replayed_flows + 3);  // P1..P3
+      // Only P5 (level 3) was re-derived: one frontier flow.
+      EXPECT_EQ(st.frontier_flows, before.frontier_flows + 1);
+      EXPECT_EQ(st.solver_iterations - before.solver_iterations,
+                static_cast<std::uint64_t>(c.cold_iterations()));
+      EXPECT_EQ(c.cold_iterations(), 3);
+      check_against_oracle(c.fs, c.fabric);
+      c.eng.stop();
+    });
+  before = c.fs.stats();  // P4's completion callback fires inside run()
+  c.eng.run();
+  EXPECT_TRUE(done);
+}
+
+// A whole-set re-solve after one arrival into a set with two recorded
+// levels replays them: the arrival P5 cannot fire at level 1 or 2, so P1..P3
+// are re-frozen and only P4 and P5 are water-filled.
+TEST(FlowSimWarmStart, ArrivalReplaysFrozenPrefix) {
+  LedgerCase c(three_level_caps(), /*fallback_fraction=*/0.0);
+  const std::vector<std::vector<int>> paths{{1, 2}, {1}, {2, 3}, {3}};
+  for (const auto& p : paths) c.fs.start_on_path(p, 1e12, [] {});
+  const auto before = c.fs.stats();
+  c.fs.start_on_path({3}, 1e12, [] {});
+  const auto& st = c.fs.stats();
+  EXPECT_EQ(st.warm_solves, before.warm_solves + 1);
+  EXPECT_EQ(st.warm_prefix_hits, before.warm_prefix_hits + 1);
+  EXPECT_EQ(st.replayed_flows, before.replayed_flows + 3);
+  EXPECT_EQ(st.frontier_flows, before.frontier_flows + 2);  // of 5 members
+  EXPECT_EQ(st.solver_iterations - before.solver_iterations,
+            static_cast<std::uint64_t>(c.cold_iterations()));
+  check_against_oracle(c.fs, c.fabric);
+  std::vector<double> rates;
+  c.fs.for_each_flow([&](std::uint64_t, const std::vector<int>&, double,
+                         double r) { rates.push_back(r); });
+  EXPECT_EQ(rates, (std::vector<double>{5.0, 5.0, 25.0, 37.5, 37.5}));
 }
 
 }  // namespace

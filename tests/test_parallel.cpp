@@ -124,19 +124,16 @@ TEST(ThreadPool, ParallelEmitConcatenatesInChunkOrder) {
   EXPECT_EQ(serial, emit());
 }
 
-// The CSR core's batched rate-update path: one firing link freezing more
-// than parallel_update_min flows, in a problem with enough links to open the
-// parallel gates. The last 50 flows ride private links whose residuals are
-// written by the batched sweep, so their level-2 rates expose any wrong or
+// A large incast through the CSR core: one firing link freezing 2,050
+// flows over 4,101 links. The last 50 flows ride private links whose
+// residuals that freeze debits, so their level-2 rates expose any wrong or
 // misordered subtraction. Must be bit-identical to the reference at every
 // thread count.
-TEST(ThreadPool, SolverBatchUpdatePathMatchesReferenceAcrossThreads) {
+TEST(ThreadPool, SolverLargeIncastMatchesReferenceAcrossThreads) {
   ThreadCountGuard guard;
   const std::size_t incast = 2050;
   const std::size_t extras = 50;
   const std::size_t num_links = 1 + 2 * incast;  // 4101
-  ASSERT_GE(num_links, net::solver_tuning().parallel_scan_threshold);
-  ASSERT_GT(incast, net::solver_tuning().parallel_update_min);
   std::vector<double> caps(num_links, 25e9);
   caps[0] = 10e9;  // shared bottleneck: fires first, freezes all incast flows
   std::vector<std::vector<int>> paths;

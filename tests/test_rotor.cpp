@@ -72,16 +72,16 @@ TEST(RotorSchedule, NonRotorFabricIsRejected) {
   EXPECT_THROW(net::RotorSchedule(eng, fabric), std::invalid_argument);
 }
 
-// ---------------------------------------------- warm memo vs transitions ---
+// ------------------------------------------ churn across thread counts ---
 
-// Contract: a slot transition moves the overlay epoch, so warm-memo
-// generations recorded under the previous slot are recognised as stale (the
-// `warm_memo_stale` counter) instead of replaying wrong-slot rates. There
-// are two memo generations, hence at most two stale observations per
-// transition; the count is exactly reproducible at every thread count.
-TEST(RotorWarmMemo, StalenessTracksSlotTransitionsAcrossThreadCounts) {
+// Contract: rotor churn — slot transitions re-pricing the fabric under
+// whole-set and component re-solves — is byte-identical at every thread
+// count: same slot sequence, same completion instants, same solver stats.
+TEST(RotorChurn, SlotChurnIsIdenticalAcrossThreadCounts) {
   ThreadCountGuard guard;
-  std::uint64_t base_stale = 0, base_transitions = 0;
+  std::vector<double> base_times;
+  net::FlowSim::Stats base_stats;
+  std::uint64_t base_transitions = 0;
   for (int threads : {1, 2, 8}) {
     sim::set_thread_count(threads);
     sim::Engine eng;
@@ -93,29 +93,32 @@ TEST(RotorWarmMemo, StalenessTracksSlotTransitionsAcrossThreadCounts) {
     const int eps = fabric.topology().num_endpoints();
     int launched = 0;
     const int total = 120;
+    std::vector<double> times;
     std::function<void()> launch = [&] {
       if (launched >= total) return;
       ++launched;
       const int src = static_cast<int>(rng.index(static_cast<std::uint64_t>(eps)));
       int dst = static_cast<int>(rng.index(static_cast<std::uint64_t>(eps)));
       if (dst == src) dst = (dst + 1) % eps;
-      fs.start(src, dst, rng.uniform(1e6, 5e7), [&] { launch(); });
+      fs.start(src, dst, rng.uniform(1e6, 5e7), [&] {
+        times.push_back(eng.now());
+        launch();
+      });
     };
     for (int i = 0; i < 16; ++i) launch();
     eng.run();
     const auto& st = fs.stats();
     EXPECT_GT(rotor.transitions(), 10u) << "threads=" << threads;
-    EXPECT_GT(st.warm_memo_stale, 0u) << "threads=" << threads;
-    EXPECT_LE(st.warm_memo_stale, 2 * rotor.transitions())
-        << "threads=" << threads;
     EXPECT_GT(st.warm_solves, 0u) << "threads=" << threads;
+    EXPECT_EQ(times.size(), static_cast<std::size_t>(total))
+        << "threads=" << threads;
     if (threads == 1) {
-      base_stale = st.warm_memo_stale;
+      base_times = times;
+      base_stats = st;
       base_transitions = rotor.transitions();
     } else {
-      // Thread-count determinism: identical slot sequence, identical memo
-      // staleness observations.
-      EXPECT_EQ(st.warm_memo_stale, base_stale) << "threads=" << threads;
+      EXPECT_EQ(times, base_times) << "threads=" << threads;
+      EXPECT_TRUE(st == base_stats) << "threads=" << threads;
       EXPECT_EQ(rotor.transitions(), base_transitions)
           << "threads=" << threads;
     }

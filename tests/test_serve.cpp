@@ -1,7 +1,7 @@
 // Serving-layer tests (ISSUE 7): shared-snapshot sessions must be
 // indistinguishable from private-fabric sessions — bitwise — at any thread
-// count, and sibling sessions must be perfectly isolated (no epoch or memo
-// invalidation leaks across overlays). The acceptance scenario runs 64
+// count, and sibling sessions must be perfectly isolated (no epoch
+// movement leaks across overlays). The acceptance scenario runs 64
 // concurrent failure-overlay sessions over one 1,024-endpoint snapshot and
 // proves isolation with counters. All of this runs under the TSan CI job,
 // which doubles as the data-race check on the shared snapshot.
@@ -10,6 +10,7 @@
 #include <atomic>
 #include <cstdint>
 #include <cstdlib>
+#include <limits>
 #include <memory>
 #include <new>
 #include <sstream>
@@ -109,7 +110,7 @@ net::FabricConfig minimal_cfg() {
 
 // Session i's scenario stream: a distinct failed global bundle, a capacity
 // override on its own injection link, and a small incast, then churn —
-// restore, refail, repeat one scenario verbatim (warm-memo bait).
+// restore, refail, repeat one scenario verbatim (diff-apply bait).
 std::vector<serve::Scenario> scenario_stream(const topo::Topology& topo,
                                              int i) {
   const int ng = topo.num_groups();
@@ -133,7 +134,7 @@ std::vector<serve::Scenario> scenario_stream(const topo::Topology& topo,
   serve::Scenario clean_sc;  // everything restored
   for (int k = 0; k < 3; ++k) clean_sc.flows.push_back(flow(k, 2e6));
 
-  // fail -> fail (identical, memo bait) -> clean -> fail again
+  // fail -> fail (identical, an empty overlay diff) -> clean -> fail again
   return {fail_sc, fail_sc, clean_sc, fail_sc};
 }
 
@@ -303,12 +304,9 @@ TEST(ServeAcceptance, SixtyFourSessionsOneSnapshotZeroSiblingInvalidation) {
   auto solo = batcher.run_batch();
   const auto& solo_res = solo[static_cast<std::size_t>(ids[0])];
   ASSERT_EQ(solo_res.size(), 1u);
-  //  - session 0 never mutated its overlay: epoch pinned at 0;
-  //  - no session ever saw its warm memo invalidated by someone else's
-  //    fail/restore: the stale counter can only move when the session's OWN
-  //    epoch moves, and session 0's never did.
+  // session 0 never mutated its overlay, so its epoch is pinned at 0 — no
+  // sibling's fail/restore reached it.
   EXPECT_EQ(batcher.session(ids[0])->fabric().capacity_epoch(), 0u);
-  EXPECT_EQ(batcher.session(ids[0])->flowsim().stats().warm_memo_stale, 0u);
   // And the repeat is bitwise-stable.
   EXPECT_EQ(first[static_cast<std::size_t>(ids[0])][0].makespan_s,
             solo_res[0].makespan_s);
@@ -344,9 +342,9 @@ TEST(ServeRotor, SharedSnapshotBitwiseEqualsPrivateFabrics) {
 
 // Sibling isolation under slot churn, at the serving layer: while other
 // sessions rotate their live matching scenario after scenario, a session
-// parked in slot 0 must see zero epoch movement and zero warm-memo
-// invalidation — slot state is overlay state, so the PR 7
-// isolation contract covers it with no new machinery.
+// parked in slot 0 must see zero epoch movement — slot state is overlay
+// state, so the session isolation contract covers it with no new
+// machinery.
 TEST(ServeRotor, SlotChurnSessionsLeaveSiblingUntouched) {
   ThreadCountGuard guard;
   sim::set_thread_count(8);
@@ -372,7 +370,6 @@ TEST(ServeRotor, SlotChurnSessionsLeaveSiblingUntouched) {
   EXPECT_TRUE(batcher.submit(ids[0], clean));
   auto solo = batcher.run_batch();
   EXPECT_EQ(batcher.session(ids[0])->fabric().capacity_epoch(), 0u);
-  EXPECT_EQ(batcher.session(ids[0])->flowsim().stats().warm_memo_stale, 0u);
   // Bitwise-stable repeat for the slot-0 sibling.
   const auto& solo_res = solo[static_cast<std::size_t>(ids[0])];
   ASSERT_EQ(solo_res.size(), 1u);
@@ -513,18 +510,17 @@ TEST(ServeSession, RepeatedScenarioIsDiffAppliedAndEpochStable) {
   ASSERT_EQ(r1.completion_s.size(), r2.completion_s.size());
   for (std::size_t i = 0; i < r1.completion_s.size(); ++i)
     EXPECT_EQ(r1.completion_s[i], r2.completion_s[i]);
-  EXPECT_EQ(r2.stats.warm_memo_stale, 0u);
 }
 
 TEST(ServeSession, RepeatedScenarioIsAllocationFreeAndReusesScratch) {
   auto snap = net::make_snapshot(small_topology(), minimal_cfg());
-  // warm_start off: every resolve takes the full-solve path through
-  // solve_component — the one site that feeds `net.solver.scratch_reuse` —
-  // so the counter proves the per-session SolveScratch (and the component
+  // Incremental off: every resolve takes the cold full solve through
+  // solve_component — the one site that feeds `net.solver.scratch_reuse`
+  // — so the counter proves the per-session SolveScratch (and the component
   // CSR/caps/rates arenas around it) survives across scenarios instead of
   // being rebuilt per resolve.
   net::FlowSimConfig cfg = serve::ScenarioSession::default_sim_config();
-  cfg.warm_start = false;
+  cfg.incremental = false;
   serve::ScenarioSession session(snap, cfg);
   const auto stream = scenario_stream(snap->topology(), 2);
   const serve::Scenario& sc = stream[0];
@@ -578,6 +574,14 @@ TEST(ServeSession, RejectsMalformedScenariosWithoutTouchingState) {
   sc.flows.push_back(f);
   EXPECT_THROW(session.run(sc), std::invalid_argument);
   EXPECT_EQ(session.fabric().capacity_epoch(), 0u);
+  // Non-finite sizes would never drain: +inf, -inf and NaN are rejected too.
+  for (double bad : {std::numeric_limits<double>::infinity(),
+                     -std::numeric_limits<double>::infinity(),
+                     std::numeric_limits<double>::quiet_NaN()}) {
+    sc.flows[0].bytes = bad;
+    EXPECT_THROW(session.run(sc), std::invalid_argument) << bad;
+    EXPECT_EQ(session.fabric().capacity_epoch(), 0u);
+  }
   sc.flows[0].bytes = 1e6;
   sc.fail_links.push_back(1 << 28);  // out of range
   EXPECT_THROW(session.run(sc), std::invalid_argument);

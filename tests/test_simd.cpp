@@ -15,7 +15,6 @@
 
 #include "net/simd.hpp"
 #include "net/solver.hpp"
-#include "sim/parallel.hpp"
 #include "sim/rng.hpp"
 
 namespace {
@@ -149,15 +148,6 @@ struct ScopedKernel {
   ~ScopedKernel() { net::set_scan_kernel(net::ScanKernel::Auto); }
 };
 
-// RAII: replace the solver tuning, restore the previous values.
-struct ScopedTuning {
-  net::SolverTuning prev;
-  explicit ScopedTuning(const net::SolverTuning& t) : prev(net::solver_tuning()) {
-    net::set_solver_tuning(t);
-  }
-  ~ScopedTuning() { net::set_solver_tuning(prev); }
-};
-
 struct SolveResult {
   std::vector<double> rates;
   net::SolveStats stats;
@@ -232,55 +222,6 @@ TEST(SimdSolver, ZeroWeightFlowsMatchReference) {
     EXPECT_EQ(ref_stats.iterations, csr_stats.iterations);
     EXPECT_EQ(ref_stats.bottleneck_links, csr_stats.bottleneck_links);
   }
-}
-
-// Randomized differential with the parallel gates forced open on a small
-// problem: every iteration takes the chunked parallel scan and the batched
-// update path, on worker threads, under both kernels — and must still match
-// the default-tuning serial solve bit for bit.
-TEST(SimdSolver, ForcedParallelGatesMatchSerial) {
-  sim::Rng rng(0xABCDu);
-  const std::size_t num_links = 96;
-  std::vector<double> caps(num_links);
-  for (auto& c : caps) c = rng.uniform(1.0, 100.0);
-  std::vector<std::vector<int>> paths;
-  for (int f = 0; f < 400; ++f) {
-    std::vector<int> p;
-    const int len = 1 + static_cast<int>(rng.index(4));
-    while (static_cast<int>(p.size()) < len) {
-      const int l = static_cast<int>(rng.index(num_links));
-      bool dup = false;
-      for (int q : p) dup |= (q == l);
-      if (!dup) p.push_back(l);
-    }
-    paths.push_back(std::move(p));
-  }
-
-  net::SolveStats base_stats{};
-  const auto baseline = net::max_min_rates(caps, paths, nullptr, &base_stats);
-  EXPECT_EQ(base_stats.parallel_scans, 0);  // default gates stay closed here
-
-  const int prev_threads = sim::thread_count();
-  for (const int threads : {1, 2, 8}) {
-    sim::set_thread_count(threads);
-    for (const auto k :
-         {net::ScanKernel::Auto, net::ScanKernel::ForceScalar}) {
-      ScopedKernel sk(k);
-      ScopedTuning st({.parallel_scan_threshold = 8,
-                       .scan_grain = 16,
-                       .parallel_update_min = 4});
-      net::SolveStats stats{};
-      const auto got = net::max_min_rates(caps, paths, nullptr, &stats);
-      ASSERT_EQ(got.size(), baseline.size());
-      for (std::size_t i = 0; i < got.size(); ++i)
-        EXPECT_EQ(got[i], baseline[i])
-            << "flow " << i << ", threads " << threads;
-      EXPECT_EQ(stats.iterations, base_stats.iterations);
-      EXPECT_EQ(stats.bottleneck_links, base_stats.bottleneck_links);
-      EXPECT_GT(stats.parallel_scans, 0);  // the gate really opened
-    }
-  }
-  sim::set_thread_count(prev_threads);
 }
 
 }  // namespace

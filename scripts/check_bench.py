@@ -3,7 +3,7 @@
 
 Compares a freshly recorded snapshot (scripts/record_bench.sh --out ...)
 against the committed baseline. CI machines differ wildly in absolute
-speed, so the gate is built from two machine-robust layers:
+speed, so the gate is built from machine-robust layers:
 
 1. Structural invariants checked on the *current* snapshot alone —
    properties that hold regardless of hardware:
@@ -16,7 +16,10 @@ speed, so the gate is built from two machine-robust layers:
      - steady-window churn allocations stay at ~0 per op on incremental
        rows.
 
-2. Cross-snapshot per-benchmark regression, normalised for machine speed:
+2. Coverage: every baseline row must be in the current snapshot, except
+   the multi-Frontier rows a --quick recording skips.
+
+3. Cross-snapshot per-benchmark regression, normalised for machine speed:
    the median current/baseline throughput ratio across all shared
    benchmarks estimates the host-speed factor; any single benchmark whose
    ratio falls below `tolerance * median` regressed relative to its peers
@@ -27,6 +30,7 @@ Exit code 0 = pass, 1 = regression/invariant failure, 2 = usage error.
 """
 import argparse
 import json
+import re
 import statistics
 import sys
 
@@ -154,6 +158,22 @@ def check_structural(cur, errors):
                  "suspected")
 
 
+# Rows `record_bench.sh --quick` skips (the multi-Frontier fabrics, minutes
+# each): a full baseline may list them while a --quick run does not.
+QUICK_SKIPPED = re.compile(r"/(18944|37888|94720)$")
+
+
+def check_missing(base, cur, errors):
+    # A baseline row absent from the current recording was dropped or renamed;
+    # without this check it would silently leave every gate above.
+    for name in sorted(base):
+        if name not in cur and not QUICK_SKIPPED.search(name):
+            fail(errors,
+                 f"{name}: in the baseline but missing from the current "
+                 "recording (dropped or renamed? re-record the baseline with "
+                 "scripts/record_bench.sh)")
+
+
 def check_regression(base, cur, tolerance, errors):
     ratios = {}
     for name, b in base.items():
@@ -214,6 +234,7 @@ def main():
         return 2
 
     errors = []
+    check_missing(base, cur, errors)
     check_structural(cur, errors)
     check_regression(base, cur, args.tolerance, errors)
     if errors:

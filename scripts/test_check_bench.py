@@ -84,6 +84,27 @@ class CheckBenchDriver(unittest.TestCase):
         r = self.run_gate(base, os.path.join(self._dir.name, "absent.json"))
         self.assertEqual(r.returncode, 2, r.stdout + r.stderr)
 
+    def test_missing_baseline_row_fails(self):
+        # A row dropped from (or renamed in) the current recording used to
+        # leave the gate silently; only the multi-Frontier rows that
+        # `record_bench.sh --quick` skips may be absent.
+        base = self.healthy()
+        base["micro_flowsim/BM_FlowChurn/incast_incremental/94720"] = \
+            entry(5.0, **{"warm%": 95.0})
+        base["micro_flowsim/BM_FlowChurnWholeSet/37888"] = entry(0.1)
+        base_path = self.write("base.json", snapshot(base))
+        quick = self.write("quick.json", snapshot(self.healthy()))
+        r = self.run_gate(base_path, quick)
+        self.assertEqual(r.returncode, 0, r.stdout + r.stderr)
+
+        dropped = self.healthy()
+        del dropped["micro_flowsim/BM_FlowChurn/incast_full/1024"]
+        cur = self.write("dropped.json", snapshot(dropped))
+        r = self.run_gate(base_path, cur)
+        self.assertEqual(r.returncode, 1, r.stdout + r.stderr)
+        self.assertIn("incast_full/1024: in the baseline but missing",
+                      r.stdout)
+
     def test_single_benchmark_regression_fails(self):
         base = self.write("base.json", snapshot(self.healthy()))
         slow = self.healthy()

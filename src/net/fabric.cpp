@@ -90,6 +90,10 @@ bool FabricOverlay::set_link_capacity(int link_id, double capacity) {
 
 bool FabricOverlay::set_link_capacities(
     const std::vector<std::pair<int, double>>& updates) {
+  // Check the whole batch first: a bad id found mid-batch would leave the
+  // pairs before it applied with no epoch bump, and consumers keyed on the
+  // epoch (FlowSim's freeze ledger and share summary) would go stale.
+  for (const auto& update : updates) check_link(update.first);
   bool changed = false;
   for (const auto& [id, cap] : updates)
     changed = set_capacity_no_bump(id, cap) || changed;
@@ -137,9 +141,19 @@ Fabric::~Fabric() = default;
 Fabric::Fabric(Fabric&&) noexcept = default;
 Fabric& Fabric::operator=(Fabric&&) noexcept = default;
 
+void Fabric::check_endpoints(int src_ep, int dst_ep, const char* who) const {
+  const int n_eps = topology().num_endpoints();
+  if (src_ep < 0 || dst_ep < 0 || src_ep >= n_eps || dst_ep >= n_eps)
+    throw std::out_of_range(std::string(who) + ": endpoint pair (" +
+                            std::to_string(src_ep) + ", " +
+                            std::to_string(dst_ep) + ") out of range [0, " +
+                            std::to_string(n_eps) + ")");
+}
+
 void Fabric::route_into(int src_ep, int dst_ep, sim::Rng& rng,
                         const std::vector<int>* global_load,
                         std::vector<int>& out) const {
+  check_endpoints(src_ep, dst_ep, "Fabric::route_into");
   snap_->route_into(src_ep, dst_ep, rng, global_load,
                     overlay_.routing_failure_view(), out);
 }
@@ -156,12 +170,16 @@ std::vector<double> Fabric::steady_rates(const std::vector<std::pair<int, int>>&
                                          std::vector<std::vector<int>>* paths_out,
                                          const std::vector<double>* rate_caps) const {
   const auto& topo = topology();
-  const int n_eps = topo.num_endpoints();
-  for (const auto& [s, d] : pairs)
-    if (s < 0 || d < 0 || s >= n_eps || d >= n_eps)
-      throw std::out_of_range("Fabric::steady_rates: endpoint pair (" +
-                              std::to_string(s) + ", " + std::to_string(d) +
-                              ") out of range [0, " + std::to_string(n_eps) + ")");
+  for (const auto& [s, d] : pairs) check_endpoints(s, d, "Fabric::steady_rates");
+  const auto check_size = [&](const std::vector<double>* v, const char* what) {
+    if (v != nullptr && v->size() != pairs.size())
+      throw std::invalid_argument(
+          std::string("Fabric::steady_rates: ") + what + " has " +
+          std::to_string(v->size()) + " entries for " +
+          std::to_string(pairs.size()) + " pairs");
+  };
+  check_size(weights, "weights");
+  check_size(rate_caps, "rate_caps");
   sim::Rng rng(config().seed);
   std::vector<std::vector<int>> paths;
   paths.reserve(pairs.size());
@@ -246,6 +264,7 @@ void Fabric::apply_hol_blocking(const std::vector<std::vector<int>>& paths,
 }
 
 double Fabric::base_latency(int src_ep, int dst_ep) const {
+  check_endpoints(src_ep, dst_ep, "Fabric::base_latency");
   static thread_local std::vector<int> scratch;
   snap_->minimal_path_into(src_ep, dst_ep, overlay_.routing_failure_view(),
                            scratch);
@@ -255,6 +274,7 @@ double Fabric::base_latency(int src_ep, int dst_ep) const {
 }
 
 int Fabric::minimal_hops(int src_ep, int dst_ep) const {
+  check_endpoints(src_ep, dst_ep, "Fabric::minimal_hops");
   static thread_local std::vector<int> scratch;
   snap_->minimal_path_into(src_ep, dst_ep, overlay_.routing_failure_view(),
                            scratch);

@@ -81,7 +81,8 @@ class FabricOverlay {
   bool set_link_capacity(int link_id, double capacity);
   // Batched capacity overrides: applies every (link, capacity) pair but bumps
   // the epoch AT MOST ONCE for the whole batch (zero times if every pair is a
-  // no-op). A rotor slot transition re-prices one matching off and another on
+  // no-op). An out-of-range id anywhere in the batch throws before any pair
+  // is applied. A rotor slot transition re-prices one matching off and another on
   // through this call, so consumer caches see exactly one staleness event per
   // slot instead of one per link.
   bool set_link_capacities(const std::vector<std::pair<int, double>>& updates);
@@ -136,7 +137,9 @@ class Fabric {
   const FabricOverlay& overlay() const { return overlay_; }
 
   // Route one flow. Adaptive routing consults `global_load` (flows currently
-  // assigned per link) when provided.
+  // assigned per link) when provided. This and every other per-pair entry
+  // point below throw std::out_of_range for an endpoint outside
+  // [0, num_endpoints).
   std::vector<int> route(int src_ep, int dst_ep, sim::Rng& rng,
                          const std::vector<int>* global_load = nullptr) const;
 
@@ -154,8 +157,9 @@ class Fabric {
   // `rate_caps` (optional, 0 = uncapped) bound a flow's offered load — e.g.
   // message-rate-limited congestors that cannot saturate their NIC. Caps are
   // realized as per-flow virtual links, so capped flows still take part in
-  // max-min fairness. Endpoint ids outside [0, num_endpoints) throw
-  // std::out_of_range before anything is routed.
+  // max-min fairness. Out-of-range endpoints throw std::out_of_range, and a
+  // `weights` or `rate_caps` whose size differs from `pairs` throws
+  // std::invalid_argument, before anything is routed.
   std::vector<double> steady_rates(const std::vector<std::pair<int, int>>& pairs,
                                    const std::vector<double>* weights = nullptr,
                                    std::vector<std::vector<int>>* paths_out = nullptr,
@@ -203,6 +207,7 @@ class Fabric {
   std::uint64_t capacity_epoch() const { return overlay_.capacity_epoch(); }
 
  private:
+  void check_endpoints(int src_ep, int dst_ep, const char* who) const;
   void apply_hol_blocking(const std::vector<std::vector<int>>& paths,
                           std::vector<double>& rates) const;
 

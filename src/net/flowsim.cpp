@@ -241,25 +241,18 @@ void FlowSim::accrue(Flow& f) {
   f.accrued_at = now;
 }
 
-void FlowSim::set_rate(std::uint64_t id, Flow& f, double rate) {
+void FlowSim::change_rate(Flow& f, double rate) {
   // No 1 B/s floor: a zero rate means every byte is stuck behind a failed
-  // link, and pretending otherwise hides the failure (satellite fix — the
-  // old floor made such flows "complete" after simulated centuries).
+  // link, and pretending otherwise hides the failure (the old floor made
+  // such flows "complete" after simulated centuries).
   if (rate <= 0.0) rate = 0.0;
-  // Unchanged rate: skip the write-back entirely. The drain law stays the
-  // same linear function, so deferring accrual is exact — and because a
-  // full re-solve recomputes untouched components to bitwise-equal rates,
-  // incremental and full modes take this early-out at identical times,
-  // keeping their remaining-byte arithmetic (and completion times)
-  // bit-for-bit equal.
-  if (rate == f.rate && (rate > 0.0 || f.stalled)) return;
   accrue(f);
   if (rate == 0.0) {
     if (!f.stalled) {
       f.stalled = true;
       ++stalled_;
       obs::tracer().instant("net", "flow_stall", eng_.now(),
-                            {{"flow", static_cast<double>(id)},
+                            {{"flow", static_cast<double>(f.id)},
                              {"remaining", f.remaining}});
       static obs::Counter& stalls = obs::metrics().counter("net.flow_stalls");
       stalls.inc();
@@ -268,17 +261,21 @@ void FlowSim::set_rate(std::uint64_t id, Flow& f, double rate) {
     f.stalled = false;
     --stalled_;
     obs::tracer().instant("net", "flow_unstall", eng_.now(),
-                          {{"flow", static_cast<double>(id)}, {"rate", rate}});
+                          {{"flow", static_cast<double>(f.id)}, {"rate", rate}});
   }
   f.rate = rate;
 }
 
-bool FlowSim::affected_component(double max_flows) {
+bool FlowSim::component(const std::vector<int>& seed_links, double max_flows) {
+  // Flows reachable from `seed_links` under the caller's `visit_epoch_`:
+  // marks persist across calls, so the cold sweep visits each component
+  // exactly once.
   comp_slots_.clear();
-  ++visit_epoch_;
   link_q_.clear();
-  for (int l : dirty_links_) {
-    link_visit_epoch_[static_cast<std::size_t>(l)] = visit_epoch_;
+  for (int l : seed_links) {
+    const auto lu = static_cast<std::size_t>(l);
+    if (link_visit_epoch_[lu] == visit_epoch_) continue;
+    link_visit_epoch_[lu] = visit_epoch_;
     link_q_.push_back(l);
   }
   while (!link_q_.empty()) {
@@ -312,46 +309,6 @@ bool FlowSim::affected_component(double max_flows) {
            slots_[static_cast<std::size_t>(b)].id;
   });
   return false;
-}
-
-void FlowSim::component_from(int seed) {
-  // Connected component containing `seed`, under the caller's current
-  // `visit_epoch_` (marks persist across calls so a full-solve sweep visits
-  // each component exactly once). Same traversal and ordering as
-  // `affected_component`, seeded from a flow instead of dirty links.
-  comp_slots_.clear();
-  link_q_.clear();
-  Flow& sf = slots_[static_cast<std::size_t>(seed)];
-  sf.visit_epoch = visit_epoch_;
-  comp_slots_.push_back(seed);
-  for (int pl : sf.path) {
-    const auto plu = static_cast<std::size_t>(pl);
-    if (link_visit_epoch_[plu] != visit_epoch_) {
-      link_visit_epoch_[plu] = visit_epoch_;
-      link_q_.push_back(pl);
-    }
-  }
-  while (!link_q_.empty()) {
-    const int l = link_q_.back();
-    link_q_.pop_back();
-    for (int s : flows_on_link_[static_cast<std::size_t>(l)]) {
-      Flow& f = slots_[static_cast<std::size_t>(s)];
-      if (f.visit_epoch == visit_epoch_) continue;
-      f.visit_epoch = visit_epoch_;
-      comp_slots_.push_back(s);
-      for (int pl : f.path) {
-        const auto plu = static_cast<std::size_t>(pl);
-        if (link_visit_epoch_[plu] != visit_epoch_) {
-          link_visit_epoch_[plu] = visit_epoch_;
-          link_q_.push_back(pl);
-        }
-      }
-    }
-  }
-  std::sort(comp_slots_.begin(), comp_slots_.end(), [this](int a, int b) {
-    return slots_[static_cast<std::size_t>(a)].id <
-           slots_[static_cast<std::size_t>(b)].id;
-  });
 }
 
 int FlowSim::ledger_prefix(const std::vector<int>& members, int* arrival) {
@@ -402,6 +359,9 @@ int FlowSim::ledger_prefix(const std::vector<int>& members, int* arrival) {
 }
 
 void FlowSim::solve_component(const std::vector<int>& comp, SolveStats* ss) {
+  // The solve compares against and writes `f.rate`: settle the parked
+  // uniform rate first.
+  materialize_pending();
   // Replay the ledger prefix this resolve's delta leaves intact (DESIGN.md
   // §9) when it spans enough levels to pay for the grouping.
   int arrival = -1;
@@ -472,17 +432,11 @@ void FlowSim::solve_component(const std::vector<int>& comp, SolveStats* ss) {
       obs::metrics().counter("net.solver.scratch_reuse");
   if (!grew) reuse.inc();
   // Counted write-back: `applied` are results that change a rate, `skipped`
-  // are provable no-ops (set_rate's own early-out condition, evaluated here
-  // so both counters exist on every solve path).
+  // are provable no-ops (set_rate's early-out).
   std::uint64_t applied = 0;
-  for (std::size_t i = 0; i < comp.size(); ++i) {
-    Flow& f = slots_[static_cast<std::size_t>(comp[i])];
-    const double r = comp_rates_[i];
-    if (!(r == f.rate && (r > 0.0 || f.stalled))) {
-      set_rate(f.id, f, r);
-      ++applied;
-    }
-  }
+  for (std::size_t i = 0; i < comp.size(); ++i)
+    applied +=
+        set_rate(slots_[static_cast<std::size_t>(comp[i])], comp_rates_[i]);
   note_writeback(applied, static_cast<std::uint64_t>(comp.size()) - applied);
 }
 
@@ -540,7 +494,7 @@ void FlowSim::materialize_pending() {
                  static_cast<std::uint64_t>(active_order_.size()) - applied);
 }
 
-int FlowSim::try_single_incremental(SolveStats* ss) {
+int FlowSim::try_single_incremental(double* rate) {
   // Single-bottleneck verdict from the maintained top-2 share summary,
   // touching only this resolve's dirty links. Soundness rests on two facts:
   // clean links' shares are the very doubles the full scan would compute
@@ -549,63 +503,53 @@ int FlowSim::try_single_incremental(SolveStats* ss) {
   // churned flow crosses the bottleneck, dirtying it). `pending` rates are
   // irrelevant here — the verdict reads only capacities and incidence
   // counts, both maintained eagerly.
-  if (!sb_valid_ || stalled_ != 0 || sb_l1_ < 0) return -1;
+  if (!sb_valid_ || stalled_ != 0 || sb_.l1 < 0) return -1;
   if (fabric_.capacity_epoch() != sb_cap_epoch_) {
     sb_valid_ = false;
     return -1;
   }
   const double inf = std::numeric_limits<double>::infinity();
-  const bool l1_dirty = link_dirty_[static_cast<std::size_t>(sb_l1_)] != 0;
+  const bool l1_dirty = link_dirty_[static_cast<std::size_t>(sb_.l1)] != 0;
   const bool l2_dirty =
-      sb_l2_ >= 0 && link_dirty_[static_cast<std::size_t>(sb_l2_)] != 0;
-  // Exact minimum share over clean (non-dirty) links, and whether the
-  // clean runner-up is also known exactly.
-  double c1 = inf, c2 = inf;
+      sb_.l2 >= 0 && link_dirty_[static_cast<std::size_t>(sb_.l2)] != 0;
+  // Exact minimum share over clean (non-dirty) links, and the clean
+  // runner-up: exact when `c2_known`, else only a lower bound (every link
+  // but sb_.l1 had a share >= sb_.s2, and clean links keep theirs).
+  double c1 = inf, c2 = sb_.s2;
   int c1l = -1, c2l = -1;
   bool c2_known = false;
   if (!l1_dirty) {
-    c1 = sb_min1_;
-    c1l = sb_l1_;
-    if (sb_l2_ < 0 || !l2_dirty) {
-      c2 = sb_l2_ >= 0 ? sb_min2_ : inf;
-      c2l = sb_l2_;
+    c1 = sb_.s1;
+    c1l = sb_.l1;
+    if (sb_.l2 < 0 || !l2_dirty) {
+      c2l = sb_.l2;
       c2_known = true;
     }
-  } else if (sb_l2_ >= 0 && !l2_dirty) {
-    c1 = sb_min2_;
-    c1l = sb_l2_;
-  } else if (sb_l2_ >= 0) {
+  } else if (sb_.l2 >= 0 && !l2_dirty) {
+    c1 = sb_.s2;
+    c1l = sb_.l2;
+  } else if (sb_.l2 >= 0) {
     // Both ranked links churned: the clean minimum is unknowable.
     sb_valid_ = false;
     return -1;
   } else {
-    c2_known = true;  // the only live link was sb_l1_, now dirty: no clean links
+    c2_known = true;  // the only live link was sb_.l1, now dirty: no clean links
   }
 
   // Fresh top-2 among dirty links (emptied links are no longer constraints;
   // their lazy compaction stays with the full scan).
   const auto& caps = fabric_.effective_capacities();
-  double d1 = inf, d2 = inf;
-  int d1l = -1, d2l = -1;
+  Top2 d;
   for (int l : dirty_links_) {
     const auto lu = static_cast<std::size_t>(l);
     const std::size_t n = flows_on_link_[lu].size();
     if (n == 0) continue;
     const double c = caps[lu];
     if (!std::isfinite(c) || c < 0.0) return -1;  // full scan diagnoses
-    const double share = std::max(0.0, c) / static_cast<double>(n);
-    if (share < d1) {
-      d2 = d1;
-      d2l = d1l;
-      d1 = share;
-      d1l = l;
-    } else if (share < d2) {
-      d2 = share;
-      d2l = l;
-    }
+    d.add(std::max(0.0, c) / static_cast<double>(n), l);
   }
 
-  const double m = std::min(c1, d1);
+  const double m = std::min(c1, d.s1);
   if (!std::isfinite(m)) return -1;
   const double cutoff = m;  // exact ties only, matching the solver cores
   int verdict;
@@ -614,9 +558,9 @@ int FlowSim::try_single_incremental(SolveStats* ss) {
     // flow would have dirtied it), so the full scan would reject too:
     // either several links fire or the firing one misses flows.
     verdict = 0;
-  } else if (d2 <= cutoff) {
+  } else if (d.s2 <= cutoff) {
     verdict = 0;  // >= 2 dirty links fire
-  } else if (flows_on_link_[static_cast<std::size_t>(d1l)].size() !=
+  } else if (flows_on_link_[static_cast<std::size_t>(d.l1)].size() !=
              active_order_.size()) {
     verdict = 0;
   } else {
@@ -628,12 +572,12 @@ int FlowSim::try_single_incremental(SolveStats* ss) {
   double n1, n2;
   int n1l, n2l;
   bool exact = true;
-  if (d1 <= c1) {
-    n1 = d1;
-    n1l = d1l;
-    if (d2 <= c1) {
-      n2 = d2;
-      n2l = d2l;
+  if (d.s1 <= c1) {
+    n1 = d.s1;
+    n1l = d.l1;
+    if (d.s2 <= c1) {
+      n2 = d.s2;
+      n2l = d.l2;
     } else {
       n2 = c1;
       n2l = c1l;
@@ -641,13 +585,14 @@ int FlowSim::try_single_incremental(SolveStats* ss) {
   } else {
     n1 = c1;
     n1l = c1l;
-    // Runner-up is min(d1, clean second) — needs the clean second exactly.
-    if (c2_known && c2 <= d1) {
+    // Runner-up is min(d1, clean second): known when the clean second is,
+    // or when d1 lies at or below its lower bound.
+    if (c2_known && c2 <= d.s1) {
       n2 = c2;
       n2l = c2l;
-    } else if (c2_known || d1 <= c2) {
-      n2 = d1;
-      n2l = d1l;
+    } else if (d.s1 <= c2) {
+      n2 = d.s1;
+      n2l = d.l1;
     } else {
       exact = false;
       n1 = n2 = 0.0;
@@ -655,10 +600,7 @@ int FlowSim::try_single_incremental(SolveStats* ss) {
     }
   }
   if (exact && n1l >= 0) {
-    sb_min1_ = n1;
-    sb_l1_ = n1l;
-    sb_min2_ = n2;
-    sb_l2_ = std::isfinite(n2) ? n2l : -1;
+    sb_ = {n1, n2, n1l, std::isfinite(n2) ? n2l : -1};
     sb_updated_ = true;
   } else {
     sb_valid_ = false;
@@ -669,30 +611,14 @@ int FlowSim::try_single_incremental(SolveStats* ss) {
       obs::metrics().counter("net.solver.minshare.incr_scan");
   incr.inc();
   if (verdict != 1) return verdict;
-  // A zero uniform rate stalls every flow — that path (stall counters,
-  // traces, Drop sweeps) must stay eager; let the full machinery run it.
+  // A zero uniform rate stalls every flow: that rare case is left to the
+  // full scan, which re-derives the verdict and writes the rate eagerly.
   if (!(m > 0.0)) return -1;
-
-  // Single bottleneck: park the uniform rate; same-instant re-parks coalesce
-  // (zero-width segments do no accrual arithmetic in the eager path either).
-  if (pending_uniform_ && eng_.now() != pending_time_) materialize_pending();
-  if (!pending_uniform_) {
-    pending_uniform_ = true;
-    pending_time_ = eng_.now();
-    pending_first_ = m;
-    pending_mixed_ = false;
-  } else {
-    pending_mixed_ = pending_mixed_ || m != pending_first_;
-  }
-  pending_rate_ = m;
-  if (ss) {
-    ss->iterations = 1;
-    ss->bottleneck_links = 1;
-  }
+  *rate = m;
   return 1;
 }
 
-bool FlowSim::warm_single_bottleneck(SolveStats* ss) {
+bool FlowSim::warm_single_bottleneck(double* rate) {
   // Incast collapses the whole solve into its first iteration: one link is
   // the unique minimum-share bottleneck and every active flow crosses it, so
   // the cold solve freezes everybody at min_share in iteration 1 and stops.
@@ -710,9 +636,7 @@ bool FlowSim::warm_single_bottleneck(SolveStats* ss) {
   // Any failed condition returns false and the general path runs instead —
   // the check costs one O(live links) pass, no per-flow work.
   const auto& caps = fabric_.effective_capacities();
-  const double inf = std::numeric_limits<double>::infinity();
-  double min_share = inf, second_share = inf;
-  int min_link = -1, second_link = -1;
+  Top2 top;
   std::size_t w = 0;
   bool bad_capacity = false;
   for (std::size_t i = 0; i < live_links_.size(); ++i) {
@@ -733,16 +657,7 @@ bool FlowSim::warm_single_bottleneck(SolveStats* ss) {
       bad_capacity = true;
       continue;
     }
-    const double share = std::max(0.0, c) / static_cast<double>(n);
-    if (share < min_share) {
-      second_share = min_share;
-      second_link = min_link;
-      min_share = share;
-      min_link = l;
-    } else if (share < second_share) {
-      second_share = share;
-      second_link = l;
-    }
+    top.add(std::max(0.0, c) / static_cast<double>(n), l);
   }
   live_links_.resize(w);
   if (bad_capacity)
@@ -750,100 +665,57 @@ bool FlowSim::warm_single_bottleneck(SolveStats* ss) {
         "max_min_rates: capacities must be finite and >= 0");
   // The pass just computed the exact top-2 min shares over live links: store
   // them so the next resolve's incremental verdict can skip this scan.
-  sb_min1_ = min_share;
-  sb_l1_ = min_link;
-  sb_min2_ = second_share;
-  sb_l2_ = std::isfinite(second_share) ? second_link : -1;
+  sb_ = top;
   sb_cap_epoch_ = fabric_.capacity_epoch();
-  sb_valid_ = min_link >= 0;
+  sb_valid_ = top.l1 >= 0;
   sb_updated_ = true;
   ++stats_.minshare_full;
   static obs::Counter& full_scan =
       obs::metrics().counter("net.solver.minshare.full_scan");
   full_scan.inc();
-  if (!std::isfinite(min_share)) return false;  // general path will diagnose
-  const double cutoff = min_share;  // exact ties only, matching the cores
-  // "Exactly one link fires" is a top-2 question: the minimum always fires,
-  // so uniqueness is `second_share > cutoff` — same verdict as the old
-  // counting pass, without re-walking the live list.
-  if (second_share <= cutoff ||
-      flows_on_link_[static_cast<std::size_t>(min_link)].size() !=
+  if (!std::isfinite(top.s1)) return false;  // general path will diagnose
+  // "Exactly one link fires" is a top-2 question: the minimum always fires
+  // (exact ties only, matching the cores), so uniqueness is `s2 > s1`.
+  if (top.s2 <= top.s1 ||
+      flows_on_link_[static_cast<std::size_t>(top.l1)].size() !=
           active_order_.size())
     return false;
-  if (ss) {
-    ss->iterations = 1;
-    ss->bottleneck_links = 1;
-  }
-  // Park, don't write: the closed form's uniform rate goes through the same
-  // lazy coalescing as the incremental verdict, so even resolves that had to
-  // pay this full scan (summary invalidated by churn on both ranked links)
-  // contribute ~1 materialised write per churn instead of one per active
-  // flow. A zero rate or a stalled survivor needs set_rate's stall
-  // bookkeeping at *this* instant — those stay eager, as does reference
-  // mode (`incremental_writeback = false`).
-  if (cfg_.incremental_writeback && stalled_ == 0 && min_share > 0.0) {
+  *rate = top.s1;
+  return true;
+}
+
+void FlowSim::set_uniform_rate(double rate, SolveStats* ss) {
+  ++stats_.warm_single_hits;
+  retire_ledger();  // rates set without levels
+  ss->iterations = 1;
+  ss->bottleneck_links = 1;
+  if (stalled_ == 0 && rate > 0.0) {
+    // Park, don't write: the rate is recorded once and materialised once
+    // per distinct timestamp, so a churn event costs ~1 write instead of
+    // one per active flow. Same-instant re-parks coalesce (zero-width
+    // segments do no accrual arithmetic in the eager path either).
     if (pending_uniform_ && eng_.now() != pending_time_) materialize_pending();
     if (!pending_uniform_) {
       pending_uniform_ = true;
       pending_time_ = eng_.now();
-      pending_first_ = min_share;
+      pending_first_ = rate;
       pending_mixed_ = false;
     } else {
-      pending_mixed_ = pending_mixed_ || min_share != pending_first_;
+      pending_mixed_ = pending_mixed_ || rate != pending_first_;
     }
-    pending_rate_ = min_share;
-    return true;
-  }
-  // Eager write: settle any parked rate first — the early-out comparison and
-  // set_rate's accrual both read `f.rate`. (Reference mode never parks; this
-  // matters for the zero-rate / stalled cases reached after a same-instant
-  // park, e.g. a capacity failure landing in the instant of a start burst.)
-  materialize_pending();
-  std::uint64_t applied = 0;
-  for (int s : active_order_) {
-    Flow& f = slots_[static_cast<std::size_t>(s)];
-    if (!(min_share == f.rate && (min_share > 0.0 || f.stalled))) {
-      set_rate(f.id, f, min_share);
-      ++applied;
-    }
-  }
-  note_writeback(applied,
-                 static_cast<std::uint64_t>(active_order_.size()) - applied);
-  return true;
-}
-
-void FlowSim::warm_solve(SolveStats* ss) {
-  // Whole-active-set re-solve. `active_order_` is already the cold solve's
-  // flow visit order (ascending id), so handing it to the component solver
-  // packs the same CSR problem the cold full solve would build — no BFS
-  // completion, no sort — and runs the same core with the same ledger
-  // replay: rates are bit-identical to the cold path (the differential
-  // suite pins this).
-  static obs::Counter& warm_hits =
-      obs::metrics().counter("net.solver.warmstart.hit");
-  static obs::ShardedStats& frontier_stat =
-      obs::metrics().stats("net.solver.frontier_size");
-  warm_hits.inc();
-
-  // A conclusive incremental "no" verdict from `try_single_incremental`
-  // makes the full O(live links) scan pointless this resolve.
-  if (!sb_skip_full_ && warm_single_bottleneck(ss)) {
-    ++stats_.warm_single_hits;
-    frontier_stat.add(0.0);
-    retire_ledger();  // rates set without levels
+    pending_rate_ = rate;
     return;
   }
-
-  // The solve compares against and writes `f.rate`: the parked uniform rate
-  // must be settled first or its early-out comparisons and accrual would
-  // read stale values.
+  // A zero rate or a stalled survivor needs set_rate's stall bookkeeping at
+  // *this* instant: write eagerly. Settle any parked rate first — the
+  // early-out comparison and set_rate's accrual both read `f.rate` (a
+  // capacity failure can land in the instant of a start burst).
   materialize_pending();
-  solve_component(active_order_, ss);
-  if (ss->replayed_flows > 0) ++stats_.warm_prefix_hits;
-  const auto frontier = active_order_.size() -
-                        static_cast<std::size_t>(ss->replayed_flows);
-  stats_.frontier_flows += frontier;
-  frontier_stat.add(static_cast<double>(frontier));
+  std::uint64_t applied = 0;
+  for (int s : active_order_)
+    applied += set_rate(slots_[static_cast<std::size_t>(s)], rate);
+  note_writeback(applied,
+                 static_cast<std::uint64_t>(active_order_.size()) - applied);
 }
 
 void FlowSim::resolve_and_schedule() {
@@ -864,91 +736,84 @@ void FlowSim::resolve_and_schedule() {
     retire_ledger();
   }
 
-  bool full = !cfg_.incremental;
-  bool warm = false;
-  bool lazy = false;  // single-bottleneck verdict resolved without a solve
-  sb_skip_full_ = false;
   sb_updated_ = false;
   SolveStats ss;
+  const bool full = !cfg_.incremental;
+  bool whole = full;  // the solved set is the whole active set
   if (full) {
+    // Cold reference: re-solve the whole active set, decomposed into
+    // connected components (flows transitively sharing links) discovered in
+    // ascending first-flow-id order. Per-component solutions equal the
+    // global solution bit-for-bit (the component-vs-global property pins
+    // this), and every rate is written eagerly. It replays nothing: with
+    // every stamp retired first, no component finds a live prefix. The
+    // passes it records are per component, so the stamps it leaves are
+    // valid ledger entries.
     ++stats_.full_solves;
-    comp_slots_.clear();
-  } else {
-    if (cfg_.incremental_writeback) {
-      // Incremental single-bottleneck verdict from the maintained top-2
-      // share summary: a "yes" skips the BFS, the O(live links) scan AND
-      // the write-back — the uniform rate is parked for lazy,
-      // once-per-instant materialisation.
-      const int verdict = try_single_incremental(&ss);
-      if (verdict == 1) {
-        lazy = true;
-        warm = true;
-        comp_slots_.clear();
-        ++stats_.warm_solves;
-        ++stats_.warm_single_hits;
-        retire_ledger();  // rates set without levels
-        static obs::Counter& warm_hits =
-            obs::metrics().counter("net.solver.warmstart.hit");
-        static obs::ShardedStats& frontier_stat =
-            obs::metrics().stats("net.solver.frontier_size");
-        warm_hits.inc();
-        frontier_stat.add(0.0);
-      } else if (verdict == 0) {
-        sb_skip_full_ = true;
-      }
-    }
-    if (!lazy) {
-      // The parked uniform rate (if any) is NOT applied here: the BFS below
-      // reads only incidence, and a bailed verdict usually lands back in the
-      // closed form, which re-parks. Each eager path that really compares or
-      // writes `f.rate` materialises at its own entry instead — this is what
-      // keeps same-instant start bursts (scenario injection, the bench ramp)
-      // from paying one whole-set write per bailed verdict.
-      // The BFS may stop early: it only has to prove the component
-      // oversized — the whole-set solve takes its members from
-      // `active_order_`, so `comp_slots_` is then just a size lower bound.
-      warm = affected_component(cfg_.fallback_fraction *
-                                static_cast<double>(active_count_));
-      stats_.largest_component = std::max<std::uint64_t>(
-          stats_.largest_component, comp_slots_.size());
-      if (warm) ++stats_.warm_solves;
-    }
-  }
-
-  if (full) materialize_pending();
-  if (warm && !lazy) {
-    warm_solve(&ss);
-  } else if (full) {
-    // Re-solve the whole active set, decomposed into connected components
-    // (flows transitively sharing links) discovered in ascending
-    // first-flow-id order. Per-component solutions equal the global solution
-    // bit-for-bit (the PR 4 component-vs-global property pins this), each
-    // component goes through the persistent CSR path, and stats sum in
-    // component order — same rates and same counts as the
-    // `max_min_rates_components` route, but allocation-free once warm.
-    //
-    // The reference path replays nothing: with every stamp retired first,
-    // no component finds a live prefix. The passes it records are per
-    // component, so the stamps it leaves are valid ledger entries.
     retire_ledger();
     ++visit_epoch_;
     for (int seed : active_order_) {
-      if (slots_[static_cast<std::size_t>(seed)].visit_epoch == visit_epoch_)
-        continue;
-      component_from(seed);
+      const Flow& f = slots_[static_cast<std::size_t>(seed)];
+      if (f.visit_epoch == visit_epoch_) continue;
+      component(f.path, std::numeric_limits<double>::infinity());
       SolveStats cs;
       solve_component(comp_slots_, &cs);
       ss.iterations += cs.iterations;
       ss.bottleneck_links += cs.bottleneck_links;
     }
-    comp_slots_ = active_order_;  // solved set, for the drop sweep below
-  } else if (!comp_slots_.empty()) {
-    ++stats_.component_solves;
-    materialize_pending();  // solve_component compares and writes `f.rate`
-    solve_component(comp_slots_, &ss);
-    if (ss.replayed_flows > 0) ++stats_.component_prefix_hits;
+  } else {
+    // Each question is asked once, in this order (DESIGN.md §9): the
+    // summary verdict, the capped component search, the full closed-form
+    // scan for an oversized component the summary did not rule out, and
+    // the CSR core.
+    double rate = 0.0;
+    const int verdict = try_single_incremental(&rate);
+    if (verdict == 1) {
+      whole = true;
+    } else {
+      // The parked uniform rate (if any) is NOT applied here: the search
+      // reads only incidence, and a bailed verdict usually lands back in the
+      // closed form, which re-parks. Each path that really compares or
+      // writes `f.rate` materialises at its own entry instead — this keeps
+      // same-instant start bursts (scenario injection, the bench ramp) from
+      // paying one whole-set write per bailed verdict. The search stops as
+      // soon as the component is proven oversized: the whole-set solve takes
+      // its members from `active_order_`.
+      ++visit_epoch_;
+      whole = component(dirty_links_, cfg_.fallback_fraction *
+                                          static_cast<double>(active_count_));
+      stats_.largest_component = std::max<std::uint64_t>(
+          stats_.largest_component, comp_slots_.size());
+    }
+    if (whole) {
+      static obs::Counter& warm_hits =
+          obs::metrics().counter("net.solver.warmstart.hit");
+      static obs::ShardedStats& frontier_stat =
+          obs::metrics().stats("net.solver.frontier_size");
+      ++stats_.warm_solves;
+      warm_hits.inc();
+      std::size_t frontier = 0;
+      // A conclusive "no" from the summary makes the full scan pointless.
+      if (verdict == 1 || (verdict < 0 && warm_single_bottleneck(&rate))) {
+        set_uniform_rate(rate, &ss);
+      } else {
+        // `active_order_` is the cold solve's flow visit order (ascending
+        // id), so this packs the same CSR problem the cold solve would
+        // build and runs the same core with the same ledger replay.
+        solve_component(active_order_, &ss);
+        if (ss.replayed_flows > 0) ++stats_.warm_prefix_hits;
+        frontier = active_order_.size() -
+                   static_cast<std::size_t>(ss.replayed_flows);
+        stats_.frontier_flows += frontier;
+      }
+      frontier_stat.add(static_cast<double>(frontier));
+    } else if (!comp_slots_.empty()) {
+      ++stats_.component_solves;
+      solve_component(comp_slots_, &ss);
+      if (ss.replayed_flows > 0) ++stats_.component_prefix_hits;
+    }
   }
-  const std::vector<int>& solved = warm ? active_order_ : comp_slots_;
+  const std::vector<int>& solved = whole ? active_order_ : comp_slots_;
   stats_.flows_solved += solved.size();
   stats_.solver_iterations += static_cast<std::uint64_t>(ss.iterations);
   stats_.bottleneck_links += static_cast<std::uint64_t>(ss.bottleneck_links);
@@ -959,7 +824,7 @@ void FlowSim::resolve_and_schedule() {
   // restricted solve), 1 = incremental disabled.
   obs::tracer().instant(
       "net",
-      warm ? "resolve_warm" : full ? "resolve_full" : "resolve_component",
+      full ? "resolve_full" : whole ? "resolve_warm" : "resolve_component",
       eng_.now(),
       {{"flows", static_cast<double>(solved.size())},
        {"active", static_cast<double>(active_count_)},
@@ -992,8 +857,7 @@ void FlowSim::resolve_and_schedule() {
   // Under a parked uniform rate the sweep is skipped as provably empty: the
   // pending rate is positive and covers every active flow, so the eager
   // write would have left no zero-rate flows (reading `f.rate` here would
-  // see stale values). This covers both park sites — the incremental
-  // verdict and the closed form inside the warm solve.
+  // see stale values).
   if (cfg_.stall_policy == StallPolicy::Drop && !pending_uniform_) {
     for (int s : solved)
       if (slots_[static_cast<std::size_t>(s)].rate <= 0.0)
@@ -1080,7 +944,7 @@ void FlowSim::resolve_and_schedule() {
 
   // This resolve consumed the delta unless it found nothing to solve; then
   // its removals stay on record for the next resolve's prefix decision.
-  if (warm || full || !comp_slots_.empty()) delta_ = {};
+  if (whole || !comp_slots_.empty()) delta_ = {};
 
   if (stall_hook_ && !dropped_ids_.empty()) {
     // Steal the list: the hook may re-enter (start replacement flows) and

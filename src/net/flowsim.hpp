@@ -11,15 +11,18 @@
 // water-filling only over the connected component of flows reachable from a
 // dirty link (flows in other components share no links with it, so their
 // max-min rates are provably unchanged — the global solution is the union of
-// per-component solutions). When the affected component exceeds a configured
-// fraction of the active set, the whole active set is re-solved instead
-// (DESIGN.md §9): first the single-bottleneck closed form, else the same CSR
-// core over every active flow in ascending id order. `incremental = false`
-// always solves the whole set cold, component by component, and serves as
-// the baseline of the differential tests in tests/test_flowsim.cpp, which
-// assert bit-for-bit equality on randomized churn. Component and whole-set
-// re-solves alike re-freeze the levels their delta cannot change from a
-// per-flow freeze ledger (DESIGN.md §9).
+// per-component solutions). One resolve asks each question once, in a fixed
+// order (DESIGN.md §9): does the per-link share summary prove a single
+// bottleneck; else does the capped component search find the component
+// oversized; if so, does the full closed-form scan prove a single
+// bottleneck; else the CSR core solves the component, or the whole active
+// set in ascending id order. A single-bottleneck rate is parked for lazy
+// materialisation by one function. `incremental = false` always solves the
+// whole set cold, component by component, writes every rate eagerly, and
+// serves as the baseline of the differential tests in
+// tests/test_flowsim.cpp, which assert bit-for-bit equality on randomized
+// churn. Component and whole-set re-solves alike re-freeze the levels their
+// delta cannot change from a per-flow freeze ledger (DESIGN.md §9).
 //
 // Storage is flat (DESIGN.md §8): flows live in a slot arena with a free
 // list, per-link incidence holds slot indices, and the restricted re-solve
@@ -34,6 +37,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <limits>
 #include <vector>
 
 #include "net/fabric.hpp"
@@ -50,19 +54,15 @@ namespace xscale::net {
 enum class StallPolicy { Stall, Drop };
 
 struct FlowSimConfig {
+  // `false` is the cold reference: every resolve re-solves the whole active
+  // set component by component and writes every rate eagerly. The
+  // differential tests compare the incremental mode against it bit for bit.
   bool incremental = true;
   // Hand the resolve to a whole-set solve when the affected component holds
   // more than this fraction of the active flows (the restricted solve would
   // not be cheaper). The whole-set solve needs no BFS completion and no id
   // sort: the simulator keeps its active flows in ascending id order.
   double fallback_fraction = 0.5;
-  // Park single-bottleneck rates lazily (DESIGN.md §9): a uniform rate from
-  // the closed form, or from the incremental verdict that only this mode
-  // runs, is recorded once and materialised once per distinct timestamp
-  // instead of being written to every flow. `false` writes it eagerly —
-  // the reference for the write-back differential tests. Either way only
-  // results that change a flow's rate do any work in `set_rate`.
-  bool incremental_writeback = true;
   StallPolicy stall_policy = StallPolicy::Stall;
 };
 
@@ -183,16 +183,27 @@ class FlowSim {
   void accrue(Flow& f);
   void insert_flow_links(int slot, const Flow& f);
   void remove_flow(int slot);  // unlinks + frees the slot; marks links dirty
-  void set_rate(std::uint64_t id, Flow& f, double rate);
-  // Fills `comp_slots_` with the slots of every flow reachable from the
-  // dirty links via shared-link adjacency, ascending flow-id order, and
+  // Writes a solver result and returns true, or returns false and touches
+  // nothing when the flow already holds it. The drain law then stays the
+  // same linear function, so deferring accrual is exact — and because a
+  // full re-solve recomputes untouched components to bitwise-equal rates,
+  // incremental and full modes take this early-out at identical times,
+  // keeping their completion times bit-for-bit equal. Inline: most
+  // write-back decisions are this no-op.
+  bool set_rate(Flow& f, double rate) {
+    if (rate == f.rate && (rate > 0.0 || f.stalled)) return false;
+    change_rate(f, rate);
+    return true;
+  }
+  void change_rate(Flow& f, double rate);  // accrual and stall bookkeeping
+  // Fills `comp_slots_` with the slots of every flow reachable from
+  // `seed_links` via shared-link adjacency, ascending flow-id order, and
   // returns false. Returns true instead — `comp_slots_` unsorted, only a
   // size witness — as soon as the component provably holds more than
-  // `max_flows` flows.
-  bool affected_component(double max_flows);
-  // Whole-active-set solve (DESIGN.md §9): the single-bottleneck closed
-  // form, else `solve_component(active_order_)`.
-  void warm_solve(SolveStats* ss);
+  // `max_flows` flows. The caller bumps `visit_epoch_`: incremental resolves
+  // seed the dirty links under the `fallback_fraction` cap, the cold sweep
+  // seeds each unvisited flow's path with no cap.
+  bool component(const std::vector<int>& seed_links, double max_flows);
   // Freeze ledger (DESIGN.md §9). `retire_ledger` makes every recorded
   // stamp stale at once. `ledger_prefix` decides from this resolve's delta
   // whether `members` (ascending id) may replay a recorded prefix: it
@@ -202,30 +213,28 @@ class FlowSim {
   // (-1 if none).
   void retire_ledger() { ledger_floor_ = pass_; }
   int ledger_prefix(const std::vector<int>& members, int* arrival);
-  // Single-bottleneck closed form: if exactly one live link fires under the
-  // water-filling cutoff computed against the *initial* state and every
-  // active flow crosses it, the whole solve collapses to rate = min_share
-  // for everyone — order-independent, so it is checked and applied without
-  // the O(flows x hops) passes. True on hit; rates already applied.
-  bool warm_single_bottleneck(SolveStats* ss);
-  // Incremental single-bottleneck verdict from the per-link share summary,
-  // touching only this resolve's dirty links. 1 = single bottleneck (the
-  // uniform rate is now pending, lazily materialised); 0 = conclusively not
-  // single-bottleneck (the full verification scan can be skipped); -1 =
-  // summary insufficient, run the full O(live links) scan.
-  int try_single_incremental(SolveStats* ss);
+  // Single-bottleneck verdicts (DESIGN.md §9): every active flow freezes at
+  // one uniform rate, written to `*rate`. Neither writes a rate.
+  // `try_single_incremental` reads the per-link share summary, touching only
+  // this resolve's dirty links: 1 = single bottleneck; 0 = conclusively not
+  // (the full scan can be skipped); -1 = summary insufficient.
+  // `warm_single_bottleneck` is the full O(live links) closed-form scan
+  // against the initial state (order-independent); it also rebuilds the
+  // summary.
+  int try_single_incremental(double* rate);
+  bool warm_single_bottleneck(double* rate);
+  // The one place a uniform rate lands: parks it for lazy materialisation,
+  // or writes it eagerly when flows are stalled or the rate is zero.
+  void set_uniform_rate(double rate, SolveStats* ss);
   // Apply the pending uniform rate (accruals as of `pending_time_`,
   // bit-identical to the eager per-resolve application it coalesced).
   void materialize_pending();
   // `remaining` under the pending uniform rate without materialising it.
   double remaining_eff_at(const Flow& f, double t) const;
   void note_writeback(std::uint64_t applied, std::uint64_t skipped);
-  // Same, seeded from one flow under the caller's visit epoch — the full
-  // solve sweeps components with this so it stays allocation-free.
-  void component_from(int seed);
-  // Packs `comp` (ascending id) into the CSR arena, solves it with the
-  // ledger prefix its delta allows, records the new ledger entries and
-  // writes back the rates that changed.
+  // Settles any parked uniform rate, packs `comp` (ascending id) into the
+  // CSR arena, solves it with the ledger prefix its delta allows, records
+  // the new ledger entries and writes back the rates that changed.
   void solve_component(const std::vector<int>& comp, SolveStats* ss);
   void resolve_and_schedule();
 
@@ -309,12 +318,26 @@ class FlowSim {
   // touches only dirty links. Invalidated whenever a resolve ends without
   // refreshing it (component/full solves, drops after the verdict) or the
   // capacity epoch moves.
+  struct Top2 {
+    double s1 = std::numeric_limits<double>::infinity();
+    double s2 = std::numeric_limits<double>::infinity();
+    int l1 = -1, l2 = -1;  // links holding s1, s2; -1 = none
+    void add(double share, int link) {
+      if (share < s1) {
+        s2 = s1;
+        l2 = l1;
+        s1 = share;
+        l1 = link;
+      } else if (share < s2) {
+        s2 = share;
+        l2 = link;
+      }
+    }
+  };
   bool sb_valid_ = false;
-  bool sb_updated_ = false;    // summary refreshed during this resolve
-  bool sb_skip_full_ = false;  // incremental verdict: conclusive "no"
+  bool sb_updated_ = false;  // summary refreshed during this resolve
   std::uint64_t sb_cap_epoch_ = 0;
-  double sb_min1_ = 0.0, sb_min2_ = 0.0;
-  int sb_l1_ = -1, sb_l2_ = -1;
+  Top2 sb_;
   std::vector<int> dropped_slots_;
   std::vector<std::uint64_t> dropped_ids_;
   std::vector<int> done_slots_;

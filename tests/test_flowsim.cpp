@@ -407,6 +407,117 @@ TEST(FlowSim, DropPolicyFailsFastWithHook) {
   EXPECT_EQ(stalled_ids[0], id);
 }
 
+// ------------------------------------------------- degenerate capacities ---
+
+struct DegenerateRun {
+  std::vector<double> times;           // completion instants
+  std::vector<std::uint64_t> dropped;  // ids reported through on_stall
+};
+
+// Seeded churn over degenerate inputs: every link at capacity `cap` (a
+// negative `cap` keeps the fabric's own capacities), with routed pairs or
+// one-link paths. Under Drop each dropped flow is replaced from the stall
+// hook. Once the run settles, the base capacities come back through
+// `notify_capacity_change`, so flows stalled on all-zero links drain too.
+// With `checks` every live rate is compared with the oracle after each
+// start, completion and capacity change.
+DegenerateRun degenerate_churn(double cap, bool one_link_paths,
+                               net::StallPolicy policy, bool incremental,
+                               int* checks) {
+  sim::Engine eng;
+  auto fabric = small_dragonfly(net::Routing::Minimal);
+  const auto& topo = fabric.topology();
+  std::vector<int> all_links;
+  std::vector<std::pair<int, double>> degenerate, base;
+  for (std::size_t l = 0; l < topo.links().size(); ++l) {
+    all_links.push_back(static_cast<int>(l));
+    degenerate.emplace_back(static_cast<int>(l), cap);
+    base.emplace_back(static_cast<int>(l), fabric.effective_capacities()[l]);
+  }
+  if (cap >= 0.0) fabric.set_link_capacities(degenerate);
+  net::FlowSim fs(eng, fabric,
+                  {.incremental = incremental,
+                   .fallback_fraction = 0.25,
+                   .stall_policy = policy});
+  DegenerateRun run;
+  const auto check = [&] {
+    if (checks) *checks += check_against_oracle(fs, fabric);
+  };
+  sim::Rng rng(2024);
+  const int eps = topo.num_endpoints();
+  const int total = 40;
+  int launched = 0;
+  std::function<void()> launch = [&] {
+    if (launched >= total) return;
+    const int i = launched++;
+    const double bytes = rng.uniform(1.0, 1e3);
+    const auto done = [&] {
+      run.times.push_back(eng.now());
+      check();
+      launch();
+    };
+    if (one_link_paths) {
+      // Six shared one-link paths: ties and single bottlenecks everywhere.
+      fs.start_on_path({topo.ejection_link(i % 6)}, bytes, done);
+    } else {
+      const int src = static_cast<int>(rng.index(static_cast<std::uint64_t>(eps)));
+      int dst = static_cast<int>(rng.index(static_cast<std::uint64_t>(eps)));
+      if (dst == src) dst = (dst + 1) % eps;
+      fs.start(src, dst, bytes, done);
+    }
+    check();
+  };
+  fs.on_stall([&](std::uint64_t id) {
+    run.dropped.push_back(id);
+    launch();
+  });
+  for (int i = 0; i < 12; ++i) launch();
+  eng.run();
+  if (cap >= 0.0) {
+    fabric.set_link_capacities(base);
+    fs.notify_capacity_change(all_links);
+    check();
+    eng.run();
+  }
+  EXPECT_EQ(fs.active_flows(), 0u);
+  return run;
+}
+
+// Degenerate capacities against the oracle: all-zero links, 1e-300
+// capacities (completion instants near 1e302 s) and one-link paths. The
+// incremental simulator must equal the cold reference bit for bit and the
+// oracle at every step, under both stall policies.
+TEST(FlowSimDegenerate, ZeroTinyAndOneLinkCapacitiesMatchColdAndOracle) {
+  for (net::StallPolicy policy :
+       {net::StallPolicy::Stall, net::StallPolicy::Drop}) {
+    for (double cap : {0.0, 1e-300, -1.0}) {
+      for (bool one_link : {false, true}) {
+        if (cap < 0.0 && !one_link) continue;  // ordinary input
+        SCOPED_TRACE(testing::Message()
+                     << "policy=" << static_cast<int>(policy)
+                     << " cap=" << cap << " one_link=" << one_link);
+        int inc_checks = 0, cold_checks = 0;
+        const auto inc =
+            degenerate_churn(cap, one_link, policy, true, &inc_checks);
+        const auto cold =
+            degenerate_churn(cap, one_link, policy, false, &cold_checks);
+        // Under Drop, all-zero links drop every flow at its start: no flow
+        // is ever live for the oracle to check.
+        const bool all_dropped =
+            policy == net::StallPolicy::Drop && cap == 0.0;
+        EXPECT_EQ(inc_checks > 0, !all_dropped);
+        EXPECT_EQ(inc_checks, cold_checks);
+        ASSERT_EQ(inc.times.size(), cold.times.size());
+        for (std::size_t i = 0; i < inc.times.size(); ++i)
+          EXPECT_EQ(inc.times[i], cold.times[i]) << "completion " << i;
+        EXPECT_EQ(inc.dropped, cold.dropped);
+        EXPECT_EQ(inc.times.size(), all_dropped ? 0u : 40u);
+        EXPECT_EQ(inc.dropped.size(), all_dropped ? 40u : 0u);
+      }
+    }
+  }
+}
+
 // ------------------------------------------------------------- heap churn ---
 
 // Acceptance criterion: across a million-operation FlowSim churn, the engine
@@ -465,7 +576,6 @@ enum class Shape { Incast, AllToAll, Permutation };
 // contract covers wholesale slot-capacity churn as well.
 std::vector<double> run_shape(const FabricFamily& fam, Shape shape,
                               bool incremental, int threads, int* oracle_checks,
-                              bool incremental_writeback = true,
                               net::FlowSim::Stats* out_stats = nullptr) {
   sim::set_thread_count(threads);
   sim::Engine eng;
@@ -473,9 +583,7 @@ std::vector<double> run_shape(const FabricFamily& fam, Shape shape,
   // A low fallback fraction pushes even moderate merged components through
   // the whole-set path.
   net::FlowSim fs(eng, fabric,
-                  {.incremental = incremental,
-                   .fallback_fraction = 0.25,
-                   .incremental_writeback = incremental_writeback});
+                  {.incremental = incremental, .fallback_fraction = 0.25});
   std::optional<net::RotorSchedule> rotor;
   if (fam.rotor) {
     rotor.emplace(eng, fabric, &fs);
@@ -674,15 +782,14 @@ TEST(FlowSimWarmStart, LargeIncastMatchesOracleAcrossThreads) {
 // ---------------------------------------------------- rate write-back ---
 
 // The write-back differential: the lazy uniform-rate park must equal the eager
-// write, bit for bit. Reference mode (`incremental_writeback = false`)
-// writes every single-bottleneck rate to every flow at once; incremental
-// mode parks it and coalesces same-instant uniform rates lazily. Both count
-// each solver result as applied (it changed a rate) or skipped (a proven
-// no-op). Identical completion
-// sequences — at every thread count — prove the two writes are the same
-// function of the solve, and the in-run oracle checks (which read rates
-// through `for_each_flow`, i.e. through any pending uniform rate) pin the
-// observable rates as well.
+// write, bit for bit. The cold reference (`incremental = false`) writes every
+// solved rate to every flow at once; incremental mode parks single-bottleneck
+// rates and coalesces same-instant uniform rates lazily. Both count each
+// solver result as applied (it changed a rate) or skipped (a proven no-op).
+// Identical completion sequences — at every thread count — prove the two
+// writes are the same function of the solve, and the in-run oracle checks
+// (which read rates through `for_each_flow`, i.e. through any pending
+// uniform rate) pin the observable rates as well.
 TEST(FlowSimWriteback, ChangeListEqualsWholeSetWriteBitwise) {
   ThreadCountGuard guard;
   for (const FabricFamily& fam : kFamilies) {
@@ -691,9 +798,8 @@ TEST(FlowSimWriteback, ChangeListEqualsWholeSetWriteBitwise) {
       sim::set_thread_count(1);
       net::FlowSim::Stats ref{};
       const auto baseline =
-          run_shape(fam, shape, /*incremental=*/true, 1, nullptr,
-                    /*incremental_writeback=*/false, &ref);
-      // Reference mode counts every solved flow once, so the counter pair
+          run_shape(fam, shape, /*incremental=*/false, 1, nullptr, &ref);
+      // The reference counts every solved flow once, so the counter pair
       // partitions the solved set exactly.
       EXPECT_EQ(ref.writeback_applied + ref.writeback_skipped, ref.flows_solved);
       EXPECT_GT(ref.writeback_applied, 0u);
@@ -701,8 +807,7 @@ TEST(FlowSimWriteback, ChangeListEqualsWholeSetWriteBitwise) {
         int checks = 0;
         net::FlowSim::Stats inc{};
         const auto times = run_shape(fam, shape, /*incremental=*/true, threads,
-                                     &checks, /*incremental_writeback=*/true,
-                                     &inc);
+                                     &checks, &inc);
         ASSERT_EQ(times.size(), baseline.size());
         for (std::size_t i = 0; i < times.size(); ++i)
           EXPECT_EQ(times[i], baseline[i])
@@ -767,21 +872,21 @@ TEST(FlowSimWriteback, StallAndDropTransitionsAppliedExactlyOnce) {
   }
 }
 
-// Satellite: the full stall/restore/drop churn stays bitwise identical
-// across write-back modes — mid-run capacity failures and recoveries
-// (which invalidate the min-share summary and force eager paths) produce
-// the same completion sequence whether the write-back is change-list or
-// whole-set.
+// The full stall/restore/drop churn stays bitwise identical across modes —
+// mid-run capacity failures and recoveries (which invalidate the min-share
+// summary and force eager paths) produce the same completion sequence
+// whether the write-back is the incremental change-list or the cold
+// reference's whole-set write.
 TEST(FlowSimWriteback, StallRestoreDropChurnBitwiseAcrossModes) {
   for (net::StallPolicy policy :
        {net::StallPolicy::Stall, net::StallPolicy::Drop}) {
-    auto run = [&](bool incw) {
+    auto run = [&](bool incremental) {
       sim::Engine eng;
       auto fabric = small_dragonfly(net::Routing::Minimal);
       const int ej3 = fabric.topology().ejection_link(3);
       net::FlowSim fs(eng, fabric,
-                      {.fallback_fraction = 0.25,
-                       .incremental_writeback = incw,
+                      {.incremental = incremental,
+                       .fallback_fraction = 0.25,
                        .stall_policy = policy});
       std::vector<double> times;
       int completed = 0, launched = 0;
@@ -819,6 +924,44 @@ TEST(FlowSimWriteback, StallRestoreDropChurnBitwiseAcrossModes) {
               ref_stats.flows_solved);
     EXPECT_LE(inc_stats.writeback_applied, ref_stats.writeback_applied);
   }
+}
+
+// The share summary's runner-up must stay exact when only the runner-up
+// link churns. Links A, B, C hold shares 1, 2 and 3 GB/s; B's flows leave
+// one by one, so B's share climbs past C's while A stays clean. The merge
+// used to keep B as the runner-up (its clean rival C was unknown) and,
+// once B emptied, to claim A was the only live link; when A's own flows
+// then left, the summary proved a single bottleneck at A's 4 GB/s share
+// and gave the [A, C] flow 4 GB/s through C's 3 GB/s.
+TEST(FlowSimWriteback, SummaryRunnerUpStaysExactWhenOnlyItChurns) {
+  sim::Engine eng;
+  auto fabric = small_dragonfly(net::Routing::Minimal);
+  const auto& topo = fabric.topology();
+  const int a = topo.ejection_link(0), b = topo.ejection_link(1),
+            c = topo.ejection_link(2);
+  fabric.set_link_capacities({{a, 4e9}, {b, 10e9}, {c, 3e9}});
+  // Every resolve takes the whole-set path, where the summary is consulted.
+  net::FlowSim fs(eng, fabric, {.fallback_fraction = 0.0});
+  int checks = 0, completed = 0;
+  const auto check = [&] { checks += check_against_oracle(fs, fabric); };
+  const auto done = [&] {
+    ++completed;
+    check();
+  };
+  fs.start_on_path({a, c}, 1e12, done);
+  check();
+  for (int i = 1; i <= 3; ++i) {
+    fs.start_on_path({a}, 1e8 * i, done);
+    check();
+  }
+  for (int i = 1; i <= 5; ++i) {
+    fs.start_on_path({b}, 1e6 * i, done);
+    check();
+  }
+  eng.run();
+  EXPECT_EQ(completed, 9);
+  EXPECT_GT(checks, 0);
+  EXPECT_GT(fs.stats().minshare_incr, 0u);  // the summary path ran
 }
 
 // ---------------------------------------------------------- freeze ledger ---

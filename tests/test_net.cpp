@@ -2,6 +2,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <limits>
 #include <numeric>
@@ -142,6 +143,57 @@ TEST(Solver, ZeroCapacityLinkYieldsZeroRateNotFloor) {
   EXPECT_DOUBLE_EQ(r[1], 10.0);
 }
 
+// Degenerate capacities against the oracle: all-zero links, 1e-300
+// capacities (shares near the bottom of the normal range), a mix of both
+// with ordinary links, and one-link paths among longer ones. The CSR core
+// must equal the reference bit for bit, rates and solver stats alike, with
+// and without weights.
+TEST(Solver, DegenerateCapacitiesMatchReferenceBitwise) {
+  const int links = 12;
+  sim::Rng rng(31);
+  std::vector<std::vector<int>> paths;
+  std::vector<double> weights;
+  for (int f = 0; f < 48; ++f) {
+    std::vector<int> p;
+    const int len = 1 + f % 3;  // a third of the flows cross a single link
+    while (static_cast<int>(p.size()) < len) {
+      const int l = static_cast<int>(rng.index(links));
+      if (std::find(p.begin(), p.end(), l) == p.end()) p.push_back(l);
+    }
+    paths.push_back(p);
+    weights.push_back(1.0 + static_cast<double>(f % 4));
+  }
+  net::PathsCsr csr;
+  for (const auto& p : paths) csr.push_path(p.begin(), p.end());
+  const auto bits = [](double v) { return std::bit_cast<std::uint64_t>(v); };
+
+  const std::vector<std::vector<double>> profiles{
+      std::vector<double>(links, 0.0),
+      std::vector<double>(links, 1e-300),
+      {0.0, 1e-300, 25e9, 0.0, 3e-300, 1e-300, 25e9, 12.5e9, 0.0, 1e-300,
+       7e-300, 25e9},
+  };
+  net::SolveScratch scratch;
+  const std::vector<double>* unweighted = nullptr;
+  const std::vector<double>* weighted = &weights;
+  for (const auto& cap : profiles) {
+    for (const std::vector<double>* w : {unweighted, weighted}) {
+      std::vector<double> rates(paths.size());
+      net::SolveStats cs, rs;
+      net::max_min_rates_csr(cap.data(), cap.size(), csr,
+                             w ? w->data() : nullptr, rates.data(), &cs,
+                             scratch);
+      const auto ref = net::max_min_rates_reference(cap, paths, w, &rs);
+      ASSERT_EQ(ref.size(), rates.size());
+      for (std::size_t i = 0; i < ref.size(); ++i)
+        EXPECT_EQ(bits(rates[i]), bits(ref[i]))
+            << "flow " << i << " cap[0]=" << cap[0] << " weighted=" << !!w;
+      EXPECT_EQ(cs.iterations, rs.iterations);
+      EXPECT_EQ(cs.bottleneck_links, rs.bottleneck_links);
+    }
+  }
+}
+
 // Property: no link oversubscribed; every flow is bottlenecked somewhere
 // (max-min optimality certificate).
 TEST(Solver, CapacityRespectedAndEveryFlowBottlenecked) {
@@ -274,6 +326,64 @@ TEST(Fabric, SteadyRatesRejectsOutOfRangeEndpoints) {
   // A rejected call leaves the fabric usable and its answers unchanged.
   const net::PairList ok{{0, eps - 1}, {1, eps - 2}, {2, 17}};
   EXPECT_EQ(f.steady_rates(ok), small_dragonfly(net::Routing::Adaptive).steady_rates(ok));
+}
+
+TEST(Fabric, SteadyRatesRejectsMismatchedWeightsAndCaps) {
+  auto f = small_dragonfly(net::Routing::Adaptive);
+  const net::PairList pairs{{0, 17}, {1, 18}, {2, 19}};
+  const std::vector<double> short_v{1.0, 1.0};
+  const std::vector<double> long_v{1.0, 1.0, 1.0, 1.0};
+  // A short `rate_caps` used to be read past its end; a long one was
+  // silently truncated.
+  for (const auto* v : {&short_v, &long_v}) {
+    EXPECT_THROW(f.steady_rates(pairs, v), std::invalid_argument);
+    EXPECT_THROW(f.steady_rates(pairs, nullptr, nullptr, v),
+                 std::invalid_argument);
+  }
+  // The rejected calls leave the fabric's answers unchanged.
+  const std::vector<double> caps{0.0, 5e9, 0.0};
+  EXPECT_EQ(f.steady_rates(pairs, nullptr, nullptr, &caps),
+            small_dragonfly(net::Routing::Adaptive)
+                .steady_rates(pairs, nullptr, nullptr, &caps));
+}
+
+// Every per-pair entry point rejects an endpoint outside the topology before
+// it routes (they used to index the endpoint tables out of bounds).
+TEST(Fabric, RouteRejectsOutOfRangeEndpoints) {
+  auto f = small_dragonfly(net::Routing::Adaptive);
+  const int eps = f.topology().num_endpoints();
+  sim::Rng rng(3);
+  EXPECT_THROW(f.route(0, eps, rng), std::out_of_range);
+  EXPECT_THROW(f.route(-1, 5, rng), std::out_of_range);
+  // The rejected calls consumed no randomness.
+  sim::Rng fresh(3);
+  EXPECT_EQ(f.route(0, 17, rng), f.route(0, 17, fresh));
+}
+
+TEST(Fabric, RouteIntoRejectsOutOfRangeEndpoints) {
+  auto f = small_dragonfly(net::Routing::Minimal);
+  const int eps = f.topology().num_endpoints();
+  sim::Rng rng(3);
+  std::vector<int> out{7, 7};
+  EXPECT_THROW(f.route_into(eps, 0, rng, nullptr, out), std::out_of_range);
+  EXPECT_THROW(f.route_into(0, -2, rng, nullptr, out), std::out_of_range);
+  EXPECT_EQ(out, (std::vector<int>{7, 7})) << "a rejected call writes nothing";
+}
+
+TEST(Fabric, BaseLatencyRejectsOutOfRangeEndpoints) {
+  auto f = small_dragonfly(net::Routing::Minimal);
+  const int eps = f.topology().num_endpoints();
+  EXPECT_THROW(f.base_latency(0, eps), std::out_of_range);
+  EXPECT_THROW(f.base_latency(-1, 0), std::out_of_range);
+  EXPECT_GT(f.base_latency(0, eps - 1), 0.0);
+}
+
+TEST(Fabric, MinimalHopsRejectsOutOfRangeEndpoints) {
+  auto f = small_dragonfly(net::Routing::Minimal);
+  const int eps = f.topology().num_endpoints();
+  EXPECT_THROW(f.minimal_hops(eps + 3, 0), std::out_of_range);
+  EXPECT_THROW(f.minimal_hops(0, -1), std::out_of_range);
+  EXPECT_EQ(f.minimal_hops(0, 1), 2);
 }
 
 TEST(Fabric, MinimalPathHopCounts) {
@@ -515,6 +625,27 @@ TEST(FabricManager, CapacityOverridesComposeWithFailRestore) {
   EXPECT_TRUE(f.clear_link_capacity(inj));
   EXPECT_EQ(f.effective_capacities()[iu], base);
   EXPECT_FALSE(f.clear_link_capacity(inj)) << "already cleared: no-op";
+}
+
+// A batch holding one bad id applies nothing: it used to write the pairs
+// before the bad one and throw without bumping the epoch, so consumers keyed
+// on the epoch (FlowSim's freeze ledger and share summary) went stale.
+TEST(FabricManager, BatchedOverrideWithBadIdAppliesNothing) {
+  auto f = small_dragonfly(net::Routing::Minimal);
+  const int ej = f.topology().ejection_link(0);
+  const auto n_links = static_cast<int>(f.topology().links().size());
+  const std::vector<double> before = f.effective_capacities();
+  EXPECT_THROW(f.set_link_capacities({{ej, 1.0}, {-5, 2.0}}),
+               std::out_of_range);
+  EXPECT_THROW(f.set_link_capacities({{ej, 1.0}, {n_links, 2.0}}),
+               std::out_of_range);
+  EXPECT_EQ(f.effective_capacities(), before);
+  EXPECT_TRUE(f.overlay().capacity_overrides().empty());
+  EXPECT_EQ(f.capacity_epoch(), 0u);
+  // The valid pair alone still applies, with one epoch bump.
+  EXPECT_TRUE(f.set_link_capacities({{ej, 1.0}}));
+  EXPECT_EQ(f.effective_capacities()[static_cast<std::size_t>(ej)], 1.0);
+  EXPECT_EQ(f.capacity_epoch(), 1u);
 }
 
 TEST(FabricManager, OverrideUpdateAfterNoOpFirstSetMaterialises) {

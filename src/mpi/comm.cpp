@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cassert>
 #include <cmath>
+#include <stdexcept>
+#include <string>
 
 #include "net/patterns.hpp"
 
@@ -12,6 +14,11 @@ SimComm::SimComm(const machines::Machine& machine, const net::Fabric* fabric,
                  std::vector<int> nodes, CommConfig cfg)
     : machine_(&machine), fabric_(fabric), nodes_(std::move(nodes)), cfg_(cfg) {
   assert(!nodes_.empty());
+  for (int n : nodes_)
+    if (n < 0 || n >= machine.total_nodes)
+      throw std::out_of_range("SimComm: node " + std::to_string(n) +
+                              " out of range [0, " +
+                              std::to_string(machine.total_nodes) + ")");
 }
 
 int SimComm::endpoint_of_rank(int rank) const {

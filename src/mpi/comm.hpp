@@ -36,7 +36,8 @@ struct CommConfig {
 class SimComm {
  public:
   // `nodes` lists the machine node ids of the allocation (from the
-  // scheduler). The fabric pointer may be null for analytic machines.
+  // scheduler); one outside [0, machine.total_nodes) throws
+  // std::out_of_range. The fabric pointer may be null for analytic machines.
   SimComm(const machines::Machine& machine, const net::Fabric* fabric,
           std::vector<int> nodes, CommConfig cfg = {});
 

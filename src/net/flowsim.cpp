@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cassert>
 #include <cmath>
+#include <exception>
 #include <limits>
 #include <stdexcept>
 #include <utility>
@@ -19,6 +20,14 @@ namespace {
 // does not pay back (DESIGN.md §9 gives the measured shares). A property of
 // the input, not a tuning knob.
 constexpr int kMinReplayLevels = 2;
+
+// Slots in a link's first incidence buffer: 24 bytes, the usable size of
+// the smallest block glibc's malloc hands out (a 32-byte chunk). Buffers are
+// grow-only, so every link a simulator ever touches keeps its first buffer
+// for the run: at 16 slots (an 80-byte chunk) serve_whatif's simulators,
+// whose random scenarios keep visiting new links, grew by that much per
+// link visited.
+constexpr std::size_t kIncidenceFirst = 6;
 
 void check_bytes(double bytes, const char* who) {
   if (!std::isfinite(bytes))
@@ -84,7 +93,14 @@ std::uint64_t FlowSim::start(int src, int dst, double bytes, Done on_done) {
   // warm pass over the arena, routing touches no allocator.
   auto& path = slots_[static_cast<std::size_t>(slot)].path;
   if (path.capacity() < 8) path.reserve(8);
-  fabric_.route_into(src, dst, rng_, &link_load_, path);
+  try {
+    fabric_.route_into(src, dst, rng_, &link_load_, path);
+  } catch (...) {
+    // No live route: hand the slot back so the throw changes nothing.
+    path.clear();
+    free_slots_.push_back(slot);
+    throw;
+  }
   return start_slot(slot, bytes, std::move(on_done));
 }
 
@@ -163,8 +179,46 @@ std::uint64_t FlowSim::start_slot(int slot, double bytes, Done on_done) {
   static obs::Counter& started = obs::metrics().counter("net.flows_started");
   started.inc();
   insert_flow_links(slot, f);
-  resolve_and_schedule();
+  if (batch_depth_ > 0 && !crosses_dead_link(f))
+    resolve_owed_ = true;  // the batch's close resolves for this start
+  else
+    resolve_and_schedule();
   return id;
+}
+
+bool FlowSim::crosses_dead_link(const Flow& f) const {
+  if (cfg_.stall_policy != StallPolicy::Drop) return false;
+  const auto& caps = fabric_.effective_capacities();
+  for (int l : f.path)
+    if (!(caps[static_cast<std::size_t>(l)] > 0.0)) return true;
+  return false;
+}
+
+FlowSim::StartBatch::StartBatch(FlowSim& sim)
+    : sim_(sim), uncaught_(std::uncaught_exceptions()) {
+  ++sim_.batch_depth_;
+}
+
+FlowSim::StartBatch::~StartBatch() noexcept(false) {
+  sim_.close_batch(std::uncaught_exceptions() > uncaught_);
+}
+
+void FlowSim::close_batch(bool unwinding) {
+  if (--batch_depth_ > 0 || !resolve_owed_) return;
+  if (!unwinding) {
+    resolve_and_schedule();
+    return;
+  }
+  // A throw is unwinding through the batch: do not solve now (the solve may
+  // throw too). The started flows are active and their links dirty; replace
+  // the completion event, computed without them, by a resolve at this
+  // instant. Any resolve before it fires cancels it as its own.
+  if (has_pending_event_) eng_.cancel(pending_event_);
+  pending_event_ = eng_.schedule_in(0.0, [this] {
+    has_pending_event_ = false;
+    resolve_and_schedule();
+  });
+  has_pending_event_ = true;
 }
 
 void FlowSim::insert_flow_links(int slot, const Flow& f) {
@@ -177,14 +231,12 @@ void FlowSim::insert_flow_links(int slot, const Flow& f) {
       live_link_in_[lu] = 1;
       live_links_.push_back(l);
     }
+    // Incidence capacity is grow-only. A link's first buffer holds
+    // kIncidenceFirst slots: as much as the smallest heap block, so a link
+    // touched once costs no more than one slot would, and busy links skip
+    // the 1->2->4 doubling steps (steady churn stops allocating once warm).
     auto& on_link = flows_on_link_[lu];
-    // Seed a link's incidence capacity on first growth: skips the 1→2→4→8
-    // doubling chain every busy link would otherwise walk through, which is
-    // the bulk of residual steady-state allocations under churn (capacities
-    // are grow-only, so each link allocates here at most a handful of times
-    // over a whole run).
-    if (on_link.size() == on_link.capacity() && on_link.capacity() < 16)
-      on_link.reserve(16);
+    if (on_link.capacity() == 0) on_link.reserve(kIncidenceFirst);
     on_link.push_back(slot);
     mark_dirty(l);
   }
@@ -719,6 +771,7 @@ void FlowSim::set_uniform_rate(double rate, SolveStats* ss) {
 }
 
 void FlowSim::resolve_and_schedule() {
+  resolve_owed_ = false;
   if (has_pending_event_) {
     eng_.cancel(pending_event_);
     has_pending_event_ = false;

@@ -22,7 +22,8 @@
 // serves as the baseline of the differential tests in
 // tests/test_flowsim.cpp, which assert bit-for-bit equality on randomized
 // churn. Component and whole-set re-solves alike re-freeze the levels their
-// delta cannot change from a per-flow freeze ledger (DESIGN.md §9).
+// delta cannot change from a per-flow freeze ledger (DESIGN.md §9). Starts
+// that share an instant can share one resolve through a `StartBatch`.
 //
 // Storage is flat (DESIGN.md §8): flows live in a slot arena with a free
 // list, per-link incidence holds slot indices, and the restricted re-solve
@@ -87,6 +88,33 @@ class FlowSim {
   // endpoints with custom capacities). Rejects a non-finite `bytes` and a
   // bad path the same way, before any state changes.
   std::uint64_t start_on_path(std::vector<int> path, double bytes, Done on_done);
+
+  // Same-instant start batch (DESIGN.md §9). While one is open, `start` and
+  // `start_on_path` route (same RNG draws, same load updates), insert the
+  // flow and dirty its links, but defer the resolve: closing the outermost
+  // batch runs the one resolve the last start would have run. Rates valid
+  // for zero simulated time are never computed, and the rates, completion
+  // times and drops are bitwise those of per-flow starts (DESIGN.md §9 gives
+  // the one exception). Under `StallPolicy::Drop` a start whose path crosses
+  // a link of effective capacity <= 0 settles the batch at once, so the
+  // zero-rate flow is dropped before the next start routes, as it is
+  // without a batch. Outside a batch every start is a batch of one.
+  //
+  // The destructor resolves and may throw what the resolve throws. While
+  // the stack unwinds it does not resolve: the started flows stay active
+  // and an event at the current instant re-solves them unless another
+  // resolve covers them first.
+  class StartBatch {
+   public:
+    explicit StartBatch(FlowSim& sim);
+    ~StartBatch() noexcept(false);
+    StartBatch(const StartBatch&) = delete;
+    StartBatch& operator=(const StartBatch&) = delete;
+
+   private:
+    FlowSim& sim_;
+    int uncaught_;
+  };
 
   std::size_t active_flows() const { return active_count_; }
 
@@ -173,6 +201,10 @@ class FlowSim {
   void ensure_sized();
   int alloc_slot();
   std::uint64_t start_slot(int slot, double bytes, Done on_done);
+  // Under Drop, a flow through a link of effective capacity <= 0 freezes at
+  // share 0 in iteration 1: its batch must settle before the next start.
+  bool crosses_dead_link(const Flow& f) const;
+  void close_batch(bool unwinding);
   void mark_dirty(int link);
   void clear_dirty();
   // Bytes drained at simulated time `t` but not yet subtracted from
@@ -349,6 +381,8 @@ class FlowSim {
   std::uint64_t next_id_ = 1;
   std::uint64_t pending_event_ = 0;
   bool has_pending_event_ = false;
+  int batch_depth_ = 0;        // open StartBatch scopes
+  bool resolve_owed_ = false;  // a batched start deferred its resolve
 };
 
 }  // namespace xscale::net

@@ -5,6 +5,8 @@
 #include <cmath>
 #include <memory>
 #include <numeric>
+#include <stdexcept>
+#include <string>
 #include <unordered_map>
 
 #include "obs/metrics.hpp"
@@ -31,7 +33,15 @@ Scheduler::Scheduler(int total_nodes, int nodes_per_group, std::uint64_t seed)
       allocated_(static_cast<std::size_t>(total_nodes), 0),
       seed_(seed) {}
 
+void Scheduler::check_node(int node, const char* who) const {
+  if (node < 0 || node >= total_nodes_)
+    throw std::out_of_range(std::string(who) + ": node " +
+                            std::to_string(node) + " out of range [0, " +
+                            std::to_string(total_nodes_) + ")");
+}
+
 void Scheduler::set_healthy(int node, bool healthy) {
+  check_node(node, "Scheduler::set_healthy");
   healthy_[static_cast<std::size_t>(node)] = healthy ? 1 : 0;
 }
 
@@ -134,7 +144,9 @@ std::optional<Allocation> Scheduler::allocate(int nodes, Placement p) {
 
 void Scheduler::release(const Allocation& alloc) {
   // checknode runs between jobs; in this model it simply returns the node to
-  // the free pool (health faults are injected via set_healthy).
+  // the free pool (health faults are injected via set_healthy). Every node
+  // is checked before any is freed.
+  for (int n : alloc.nodes) check_node(n, "Scheduler::release");
   for (int n : alloc.nodes) allocated_[static_cast<std::size_t>(n)] = 0;
 }
 

@@ -55,6 +55,8 @@ class Scheduler {
   Scheduler(int total_nodes, int nodes_per_group, std::uint64_t seed = 1);
 
   // --- node health (checknode) -------------------------------------------------
+  // Throws std::out_of_range, changing nothing, for a node outside
+  // [0, total_nodes).
   void set_healthy(int node, bool healthy);
   bool is_healthy(int node) const { return healthy_[static_cast<std::size_t>(node)]; }
   int healthy_nodes() const;
@@ -63,6 +65,8 @@ class Scheduler {
   // --- synchronous allocation API ----------------------------------------------
   // Returns nullopt when not enough healthy free nodes exist.
   std::optional<Allocation> allocate(int nodes, Placement p = Placement::Auto);
+  // Throws std::out_of_range, freeing nothing, when any node of `alloc` is
+  // outside [0, total_nodes).
   void release(const Allocation& alloc);
 
   // Threshold (in groups' worth of nodes) below which Auto packs.
@@ -91,6 +95,7 @@ class Scheduler {
 
  private:
   std::vector<int> pick_nodes(int count, Placement p);
+  void check_node(int node, const char* who) const;
   int group_of(int node) const { return node / nodes_per_group_; }
 
   int total_nodes_;

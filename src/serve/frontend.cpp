@@ -1,8 +1,11 @@
 #include "serve/frontend.hpp"
 
+#include <algorithm>
+#include <charconv>
+#include <cstdint>
 #include <istream>
+#include <limits>
 #include <ostream>
-#include <sstream>
 
 #include "obs/metrics.hpp"
 
@@ -10,15 +13,142 @@ namespace xscale::serve {
 
 namespace {
 
-bool parse_int(std::istringstream& ss, int& out) {
-  return static_cast<bool>(ss >> out);
+bool is_space(char c) {
+  return c == ' ' || c == '\t' || c == '\n' || c == '\v' || c == '\f' ||
+         c == '\r';
 }
 
-bool parse_double(std::istringstream& ss, double& out) {
-  return static_cast<bool>(ss >> out);
+bool is_digit(char c) { return c >= '0' && c <= '9'; }
+
+// Whether a decimal literal that std::from_chars found out of range
+// overflowed (true) or underflowed: the power of ten of its first nonzero
+// digit is >= 0. Out of range means below 2.5e-324 or above 1.8e308, so
+// the sign of that power decides. Exponents saturate; the mantissa holds a
+// nonzero digit (an all-zero mantissa reads as 0, which is in range).
+bool literal_overflows(const char* p, const char* end) {
+  if (p != end && (*p == '+' || *p == '-')) ++p;
+  std::int64_t int_digits = 0, frac_digits = 0;
+  std::int64_t lead = 0;  // power of ten of the first nonzero digit
+  bool seen = false, dec = false, lead_in_int = false;
+  for (; p != end && *p != 'e' && *p != 'E'; ++p) {
+    if (*p == '.') {
+      dec = true;
+      continue;
+    }
+    if (dec)
+      ++frac_digits;
+    else
+      ++int_digits;
+    if (!seen && *p != '0') {
+      seen = true;
+      lead_in_int = !dec;
+      lead = dec ? -frac_digits : int_digits;  // int part: 1-based index
+    }
+  }
+  if (lead_in_int) lead = int_digits - lead;
+  std::int64_t exp = 0;
+  if (p != end) {
+    ++p;
+    bool neg = false;
+    if (p != end && (*p == '+' || *p == '-')) neg = *p++ == '-';
+    for (; p != end && is_digit(*p); ++p)
+      exp = std::min<std::int64_t>(exp * 10 + (*p - '0'), 1'000'000'000);
+    if (neg) exp = -exp;
+  }
+  return lead + exp >= 0;
 }
 
 }  // namespace
+
+bool LineCursor::skip_space() {
+  if (failed_) return false;
+  while (p_ != end_ && is_space(*p_)) ++p_;
+  if (p_ == end_) failed_ = true;
+  return !failed_;
+}
+
+bool LineCursor::word(std::string_view& out) {
+  if (!skip_space()) return false;
+  const char* b = p_;
+  while (p_ != end_ && !is_space(*p_)) ++p_;
+  out = std::string_view(b, static_cast<std::size_t>(p_ - b));
+  return true;
+}
+
+bool LineCursor::number(int& out) {
+  if (!skip_space()) return false;
+  // Sign, then base-10 digits up to the first non-digit (from_chars itself
+  // takes no '+', and must not take a '-' after one).
+  const char* b = p_;
+  if (*b == '+') ++b;
+  if (b == end_ || (b != p_ && !is_digit(*b))) {
+    failed_ = true;
+    out = 0;
+    return false;
+  }
+  int v = 0;
+  const auto r = std::from_chars(b, end_, v);
+  if (r.ec == std::errc::invalid_argument) {
+    failed_ = true;
+    out = 0;
+    return false;
+  }
+  p_ = r.ptr;
+  if (r.ec == std::errc::result_out_of_range) {
+    failed_ = true;
+    out = *b == '-' ? std::numeric_limits<int>::min()
+                    : std::numeric_limits<int>::max();
+    return false;
+  }
+  out = v;
+  return true;
+}
+
+bool LineCursor::number(double& out) {
+  if (!skip_space()) return false;
+  // The text num_get collects: a sign, then digits, one '.' before any
+  // exponent, and one 'e'/'E' after a mantissa digit, itself followed by an
+  // optional sign. All of it must convert, or the read fails with 0.
+  const char* b = p_;
+  const char* q = p_;
+  if (*q == '+' || *q == '-') ++q;
+  bool mantissa = false, dec = false, sci = false;
+  while (q != end_) {
+    const char c = *q;
+    if (is_digit(c)) {
+      mantissa = true;
+    } else if (c == '.' && !dec && !sci) {
+      dec = true;
+    } else if ((c == 'e' || c == 'E') && !sci && mantissa) {
+      sci = true;
+      if (q + 1 != end_ && (q[1] == '+' || q[1] == '-')) ++q;
+    } else {
+      break;
+    }
+    ++q;
+  }
+  p_ = q;
+  if (*b == '+') ++b;
+  double v = 0.0;
+  const auto r = std::from_chars(b, q, v, std::chars_format::general);
+  if (r.ptr != q || r.ec == std::errc::invalid_argument) {
+    failed_ = true;
+    out = 0.0;
+    return false;
+  }
+  if (r.ec == std::errc::result_out_of_range) {
+    const double sign = *b == '-' ? -1.0 : 1.0;
+    if (literal_overflows(b, q)) {
+      failed_ = true;
+      out = sign * std::numeric_limits<double>::max();
+      return false;
+    }
+    out = sign * 0.0;
+    return true;
+  }
+  out = v;
+  return true;
+}
 
 void Frontend::serve(std::istream& in, std::ostream& out) {
   std::string line;
@@ -28,9 +158,9 @@ void Frontend::serve(std::istream& in, std::ostream& out) {
 }
 
 bool Frontend::handle_line(const std::string& line, std::ostream& out) {
-  std::istringstream ss(line);
-  std::string cmd;
-  if (!(ss >> cmd)) return true;  // blank line: no response
+  LineCursor ss(line);
+  std::string_view cmd;
+  if (!ss.word(cmd)) return true;  // blank line: no response
 
   if (cmd == "QUIT") {
     out << "OK\n";
@@ -46,7 +176,7 @@ bool Frontend::handle_line(const std::string& line, std::ostream& out) {
   }
   if (cmd == "CLOSE") {
     int id;
-    if (!parse_int(ss, id)) {
+    if (!ss.number(id)) {
       out << "ERR usage: CLOSE <id>\n";
       return true;
     }
@@ -56,14 +186,14 @@ bool Frontend::handle_line(const std::string& line, std::ostream& out) {
   }
   if (cmd == "FAIL") {
     int id;
-    if (!parse_int(ss, id) || batcher_.session(id) == nullptr) {
+    if (!ss.number(id) || batcher_.session(id) == nullptr) {
       out << "ERR usage: FAIL <id> <link>...\n";
       return true;
     }
     Scenario& sc = staged_[id];
     int link;
     int n = 0;
-    while (parse_int(ss, link)) {
+    while (ss.number(link)) {
       sc.fail_links.push_back(link);
       ++n;
     }
@@ -77,8 +207,8 @@ bool Frontend::handle_line(const std::string& line, std::ostream& out) {
   if (cmd == "DELTA") {
     int id, link;
     double cap;
-    if (!parse_int(ss, id) || batcher_.session(id) == nullptr ||
-        !parse_int(ss, link) || !parse_double(ss, cap)) {
+    if (!ss.number(id) || batcher_.session(id) == nullptr ||
+        !ss.number(link) || !ss.number(cap)) {
       out << "ERR usage: DELTA <id> <link> <cap_Bps>\n";
       return true;
     }
@@ -89,20 +219,20 @@ bool Frontend::handle_line(const std::string& line, std::ostream& out) {
   if (cmd == "FLOW") {
     int id;
     FlowSpec f;
-    if (!parse_int(ss, id) || batcher_.session(id) == nullptr ||
-        !parse_int(ss, f.src) || !parse_int(ss, f.dst) ||
-        !parse_double(ss, f.bytes)) {
+    if (!ss.number(id) || batcher_.session(id) == nullptr ||
+        !ss.number(f.src) || !ss.number(f.dst) ||
+        !ss.number(f.bytes)) {
       out << "ERR usage: FLOW <id> <src> <dst> <bytes> [<start_s>]\n";
       return true;
     }
-    parse_double(ss, f.start_s);  // optional, defaults to 0
+    ss.number(f.start_s);  // optional, defaults to 0
     staged_[id].flows.push_back(f);
     out << "OK\n";
     return true;
   }
   if (cmd == "SUBMIT") {
     int id;
-    if (!parse_int(ss, id)) {
+    if (!ss.number(id)) {
       out << "ERR usage: SUBMIT <id>\n";
       return true;
     }

@@ -26,10 +26,39 @@
 #include <iosfwd>
 #include <map>
 #include <string>
+#include <string_view>
 
 #include "serve/batcher.hpp"
 
 namespace xscale::serve {
+
+// Reads the words and numbers of one protocol line exactly as
+// `std::istringstream >>` reads them in the classic locale, without the
+// stream: the same text is accepted and rejected, the same values are
+// stored, also on failure, and a failure is sticky. A number stops at the
+// first character its syntax cannot take ("12abc" reads 12, and the next
+// read fails on "abc"); a leading '+' is accepted; "inf", "nan" and hex are
+// not numbers. An int out of range fails and stores INT_MAX or INT_MIN, a
+// double out of range fails and stores +-DBL_MAX, a double that underflows
+// reads as (signed) zero or the subnormal it rounds to; a read with no text
+// left fails and stores nothing. tests/test_serve.cpp pins this against an
+// istringstream on mutated lines.
+class LineCursor {
+ public:
+  explicit LineCursor(std::string_view line)
+      : p_(line.data()), end_(line.data() + line.size()) {}
+
+  bool word(std::string_view& out);
+  bool number(int& out);
+  bool number(double& out);
+
+ private:
+  bool skip_space();  // false (and failed) when no text is left
+
+  const char* p_;
+  const char* end_;
+  bool failed_ = false;
+};
 
 class Frontend {
  public:

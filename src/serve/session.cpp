@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <numeric>
 #include <stdexcept>
 #include <string>
 
@@ -78,8 +79,8 @@ void ScenarioSession::validate(const Scenario& sc) const {
     if (!(f.bytes > 0) || !std::isfinite(f.bytes))
       throw std::invalid_argument(
           "scenario: flow bytes must be finite and > 0");
-    if (!(f.start_s >= 0))
-      throw std::invalid_argument("scenario: flow start must be >= 0");
+    if (!(f.start_s >= 0) || !std::isfinite(f.start_s))
+      throw std::invalid_argument("scenario: flow start must be finite and >= 0");
   }
 }
 
@@ -110,6 +111,18 @@ void ScenarioSession::apply_overlay(const Scenario& sc) {
     fabric_.set_link_capacity(l, cap);
 }
 
+void ScenarioSession::start_group(std::size_t k) {
+  const double t = start_time(start_order_[k]);
+  net::FlowSim::StartBatch batch(*sim_);
+  for (; k < start_order_.size() && start_time(start_order_[k]) == t; ++k) {
+    const std::size_t i = start_order_[k];
+    const FlowSpec& f = cur_sc_->flows[i];
+    sim_->start(f.src, f.dst, f.bytes, [this, i] {
+      cur_res_->completion_s[i] = eng_.now() - cur_t0_;
+    });
+  }
+}
+
 ScenarioResult ScenarioSession::run(const Scenario& sc) {
   ScenarioResult res;
   run(sc, res);
@@ -133,17 +146,25 @@ void ScenarioSession::run(const Scenario& sc, ScenarioResult& out) {
   cur_sc_ = &sc;
   cur_res_ = &out;
   cur_t0_ = t0;
-  for (std::size_t i = 0; i < sc.flows.size(); ++i) {
-    // Both closures capture exactly [this, i]: small enough for
-    // std::function's in-place buffer, so a warmed session schedules and
-    // completes flows without touching the heap (the old captures carried
-    // the FlowSpec + t0 by value and heap-allocated twice per flow).
-    eng_.schedule_at(t0 + sc.flows[i].start_s, [this, i] {
-      const FlowSpec& f = cur_sc_->flows[i];
-      sim_->start(f.src, f.dst, f.bytes, [this, i] {
-        cur_res_->completion_s[i] = eng_.now() - cur_t0_;
-      });
-    });
+  // One engine event per distinct absolute start time, in time order; each
+  // starts its flows in index order inside one FlowSim batch, so a burst of
+  // same-instant starts pays one resolve. Equal times fire in insertion
+  // order, and every completion event is inserted later, so the firing
+  // order is the one a per-flow event would give. `start_order_` is sorted
+  // in place (std::sort does not allocate) and both closures capture exactly
+  // [this, index]: small enough for std::function's in-place buffer, so a
+  // warmed session schedules and completes flows without touching the heap.
+  start_order_.resize(sc.flows.size());
+  std::iota(start_order_.begin(), start_order_.end(), std::size_t{0});
+  std::sort(start_order_.begin(), start_order_.end(),
+            [this](std::size_t a, std::size_t b) {
+              const double ta = start_time(a), tb = start_time(b);
+              return ta < tb || (ta == tb && a < b);
+            });
+  for (std::size_t k = 0; k < start_order_.size();) {
+    const double t = start_time(start_order_[k]);
+    eng_.schedule_at(t, [this, k] { start_group(k); });
+    while (k < start_order_.size() && start_time(start_order_[k]) == t) ++k;
   }
   try {
     eng_.run();

@@ -72,10 +72,14 @@ class ScenarioSession {
                            net::FlowSimConfig sim_cfg = default_sim_config());
 
   // Apply the scenario's overlay (diffed against the current one), inject its
-  // flows, run to completion, report. Throws std::invalid_argument on a
-  // malformed scenario (bad endpoint, non-positive bytes, negative start)
-  // without touching session state. A throw *mid-run* — the solver rejecting
-  // a deliberately-unvalidated capacity override, routing finding no live
+  // flows, run to completion, report. Flows that share a start instant are
+  // started by one engine event inside one FlowSim::StartBatch, in index
+  // order, so the instant costs one resolve, not one per flow (DESIGN.md §9
+  // and §10 say when the answer is bitwise that of per-flow starts). Throws
+  // std::invalid_argument on a malformed scenario (bad endpoint,
+  // non-positive bytes, a negative or non-finite start) without touching
+  // session state. A throw *mid-run* — the solver rejecting a
+  // deliberately-unvalidated capacity override, routing finding no live
   // route — propagates after the engine and simulator are rebuilt, so no
   // queued event or in-flight flow (whose callbacks reference the dead run's
   // stack frame) survives into the next run; the overlay and its epoch are
@@ -85,8 +89,9 @@ class ScenarioSession {
   // Allocation-free form: reuse the caller's result buffers (grow-only). A
   // warmed session answering a repeated scenario through this overload
   // touches the heap zero times — the solver scratch, the engine's event
-  // arena, the overlay-diff scratch and the scheduled closures (which fit
-  // std::function's small-buffer; see run()'s loop) are all session-lifetime.
+  // arena, the overlay-diff scratch, the start-order buffer and the scheduled
+  // closures (which fit std::function's small-buffer; see run()'s loop) are
+  // all session-lifetime.
   // tests/test_serve.cpp pins this with a counting allocator.
   void run(const Scenario& sc, ScenarioResult& out);
 
@@ -99,6 +104,13 @@ class ScenarioSession {
   void validate(const Scenario& sc) const;
   void apply_overlay(const Scenario& sc);
   void reset_sim();
+  // Absolute start time of flow `i` of the running scenario.
+  double start_time(std::size_t i) const {
+    return cur_t0_ + cur_sc_->flows[i].start_s;
+  }
+  // Starts, in one FlowSim batch, every flow of `start_order_[k..]` whose
+  // start time equals that of `start_order_[k]`.
+  void start_group(std::size_t k);
 
   net::Fabric fabric_;
   net::FlowSimConfig sim_cfg_;
@@ -110,12 +122,15 @@ class ScenarioSession {
 
   // Scenario-run scratch. The scheduled start/completion closures capture
   // only [this, index] (16 bytes, trivially copyable) so they live in
-  // std::function's small-buffer instead of heap-allocating twice per flow
-  // per scenario; the flow specs and result slot they need are reached
-  // through these members. Valid only while run() is on the stack.
+  // std::function's small-buffer instead of heap-allocating per flow per
+  // scenario; the flow specs and result slot they need are reached through
+  // these members. Valid only while run() is on the stack.
   const Scenario* cur_sc_ = nullptr;
   ScenarioResult* cur_res_ = nullptr;
   double cur_t0_ = 0;
+  // Flow indices sorted by (start time, index): each start event owns one
+  // run of equal times (grow-only).
+  std::vector<std::size_t> start_order_;
   // Grow-only copies of the current overlay state for the diff in
   // apply_overlay() (the overlay mutates while we iterate, so iterating its
   // own vectors directly would be UB).

@@ -53,6 +53,24 @@ TEST(SimComm, RankMapping) {
   EXPECT_EQ(comm.endpoint_of_rank(9), machines::node_endpoint(fx.m, 1, 1));
 }
 
+TEST(SimComm, RejectsNodesOutsideTheMachine) {
+  Fixture fx;
+  auto fabric = fx.m.build_fabric();
+  const std::uint64_t epoch = fabric.capacity_epoch();
+  for (int bad : {-1, fx.m.total_nodes, 1 << 30})
+    EXPECT_THROW(mpi::SimComm(fx.m, &fabric, {0, bad}, {.ppn = 8}),
+                 std::out_of_range)
+        << bad;
+  EXPECT_THROW(mpi::SimComm(fx.m, nullptr, {fx.m.total_nodes}),
+               std::out_of_range);
+  // Nothing the constructor reads was touched: the last node is valid and
+  // the fabric is as built.
+  EXPECT_EQ(fabric.capacity_epoch(), epoch);
+  mpi::SimComm comm(fx.m, &fabric, {0, fx.m.total_nodes - 1}, {.ppn = 8});
+  EXPECT_EQ(comm.node_of_rank(8), fx.m.total_nodes - 1);
+  EXPECT_GT(comm.latency(0, 8), 0.0);
+}
+
 TEST(SimComm, OnNodeLatencyBelowOffNode) {
   Fixture fx;
   auto fabric = fx.m.build_fabric();

@@ -6,6 +6,7 @@
 #include <algorithm>
 #include <cmath>
 #include <set>
+#include <stdexcept>
 
 #include "sched/slurm.hpp"
 #include "sim/engine.hpp"
@@ -184,4 +185,34 @@ TEST(Scheduler, WaitTimesAreNonNegativeAndConsistent) {
   }
   EXPECT_GT(s.last_utilization(), 0.0);
   EXPECT_LE(s.last_utilization(), 1.0);
+}
+
+TEST(Scheduler, SetHealthyRejectsOutOfRangeNodeAndChangesNothing) {
+  sched::Scheduler s(16, 4);
+  s.set_healthy(5, false);
+  for (int bad : {-1, 16, 1 << 30}) {
+    EXPECT_THROW(s.set_healthy(bad, false), std::out_of_range) << bad;
+    EXPECT_THROW(s.set_healthy(bad, true), std::out_of_range) << bad;
+  }
+  EXPECT_EQ(s.healthy_nodes(), 15);
+  EXPECT_EQ(s.free_nodes(), 15);
+  for (int n = 0; n < 16; ++n) EXPECT_EQ(s.is_healthy(n), n != 5) << n;
+}
+
+TEST(Scheduler, ReleaseChecksEveryNodeBeforeFreeingAny) {
+  sched::Scheduler s(16, 4);
+  auto a = s.allocate(6, sched::Placement::Pack);
+  ASSERT_TRUE(a.has_value());
+  ASSERT_EQ(s.free_nodes(), 10);
+  // The bad id comes last: a release that freed as it went would have
+  // returned the six good nodes before throwing.
+  sched::Allocation bad = *a;
+  bad.nodes.push_back(16);
+  EXPECT_THROW(s.release(bad), std::out_of_range);
+  bad.nodes.back() = -1;
+  EXPECT_THROW(s.release(bad), std::out_of_range);
+  EXPECT_EQ(s.free_nodes(), 10) << "a rejected release frees nothing";
+  EXPECT_FALSE(s.allocate(11, sched::Placement::Pack).has_value());
+  s.release(*a);
+  EXPECT_EQ(s.free_nodes(), 16);
 }

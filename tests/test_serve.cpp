@@ -10,6 +10,7 @@
 #include <atomic>
 #include <cstdint>
 #include <cstdlib>
+#include <cstring>
 #include <limits>
 #include <memory>
 #include <new>
@@ -23,6 +24,7 @@
 #include "serve/frontend.hpp"
 #include "serve/session.hpp"
 #include "sim/parallel.hpp"
+#include "sim/rng.hpp"
 #include "topo/topology.hpp"
 
 // ---------------------------------------------------------------------------
@@ -563,6 +565,102 @@ TEST(ServeSession, DropsFlowsThatOnlyCrossFailedTerminalLinks) {
   EXPECT_GT(r.completion_s[1], 0.0) << "unrelated flow completes";
 }
 
+// The per-flow reference for a session's batched starts: the session's
+// former start loop, one engine event and one resolve per flow, over a
+// fresh fabric carrying the scenario's overlay.
+serve::ScenarioResult per_flow_reference(
+    std::shared_ptr<const net::TopologySnapshot> snap, const serve::Scenario& sc,
+    net::FlowSimConfig cfg) {
+  net::Fabric fabric(std::move(snap));
+  for (int l : sc.fail_links) fabric.fail_link(l);
+  for (const auto& [l, cap] : sc.capacity_overrides)
+    fabric.set_link_capacity(l, cap);
+  sim::Engine eng;
+  net::FlowSim fs(eng, fabric, cfg);
+  serve::ScenarioResult res;
+  res.completion_s.assign(sc.flows.size(), -1.0);
+  for (std::size_t i = 0; i < sc.flows.size(); ++i)
+    eng.schedule_at(sc.flows[i].start_s, [&, i] {
+      const serve::FlowSpec& f = sc.flows[i];
+      fs.start(f.src, f.dst, f.bytes,
+               [&, i] { res.completion_s[i] = eng.now(); });
+    });
+  eng.run();
+  res.makespan_s = eng.now();
+  res.dropped = fs.dropped_flows();
+  res.stats = fs.stats();
+  return res;
+}
+
+// Seeded random scenarios with failed terminal links and 0 B/s overrides,
+// most flows at t = 0 and the rest on a coarse grid of later instants (so
+// later instants start groups too, while earlier flows drain): a session's
+// one-resolve-per-instant start equals per-flow starts bitwise, in
+// completion times, drops and makespan, under Stall and Drop, incremental
+// and cold, with adaptive routing.
+TEST(ServeSession, BatchedStartsEqualPerFlowStartsBitwise) {
+  auto snap = net::make_snapshot(small_topology(), net::FabricConfig{});
+  const auto& topo = snap->topology();
+  const int eps = topo.num_endpoints();
+  std::uint64_t dropped = 0, fewer_resolves = 0;
+  int scenarios = 0;
+  for (net::StallPolicy policy :
+       {net::StallPolicy::Stall, net::StallPolicy::Drop}) {
+    for (bool incremental : {true, false}) {
+      net::FlowSimConfig cfg;
+      cfg.incremental = incremental;
+      cfg.stall_policy = policy;
+      sim::Rng rng(99);
+      for (int n = 0; n < 12; ++n, ++scenarios) {
+        SCOPED_TRACE(testing::Message()
+                     << "policy=" << static_cast<int>(policy)
+                     << " incremental=" << incremental << " scenario=" << n);
+        serve::Scenario sc;
+        // Dead ends on the incast target's switch: dead flows load the
+        // switch-switch links live flows take, which steers adaptive routing.
+        const int target = 4 * static_cast<int>(rng.index(
+                                   static_cast<std::uint64_t>(eps / 4)));
+        const int dead = target + 1;
+        const int zero = target + 2;
+        sc.fail_links.push_back(topo.ejection_link(dead));
+        sc.fail_links.push_back(topo.global_link(
+            topo.group_of_endpoint(target),
+            (topo.group_of_endpoint(target) + 1) % topo.num_groups()));
+        sc.capacity_overrides.emplace_back(topo.ejection_link(zero), 0.0);
+        const int n_flows = 8 + static_cast<int>(rng.index(40));
+        for (int k = 0; k < n_flows; ++k) {
+          serve::FlowSpec f;
+          f.src = static_cast<int>(rng.index(static_cast<std::uint64_t>(eps)));
+          const double u = rng.uniform();
+          f.dst = u < 0.4   ? target
+                  : u < 0.55 ? dead
+                  : u < 0.7  ? zero
+                            : static_cast<int>(rng.index(
+                                  static_cast<std::uint64_t>(eps)));
+          if (f.src == f.dst) f.src = (f.src + 1) % eps;
+          f.bytes = static_cast<double>(1 + rng.index(64)) * (1 << 16);
+          f.start_s = rng.bernoulli(0.7)
+                          ? 0.0
+                          : 1e-6 * static_cast<double>(1 + rng.index(8));
+          sc.flows.push_back(f);
+        }
+        serve::ScenarioSession session(snap, cfg);
+        const auto got = session.run(sc);
+        const auto want = per_flow_reference(snap, sc, cfg);
+        ASSERT_EQ(got.completion_s.size(), want.completion_s.size());
+        for (std::size_t i = 0; i < got.completion_s.size(); ++i)
+          EXPECT_EQ(got.completion_s[i], want.completion_s[i]) << "flow " << i;
+        EXPECT_EQ(got.makespan_s, want.makespan_s);
+        EXPECT_EQ(got.dropped, want.dropped);
+        dropped += got.dropped;
+        fewer_resolves += got.stats.resolves < want.stats.resolves;
+      }
+    }
+  }
+  EXPECT_GT(dropped, 0u) << "the dead ends were never hit";
+  EXPECT_EQ(fewer_resolves, static_cast<std::uint64_t>(scenarios));
+}
+
 TEST(ServeSession, RejectsMalformedScenariosWithoutTouchingState) {
   auto snap = net::make_snapshot(small_topology(), minimal_cfg());
   serve::ScenarioSession session(snap);
@@ -583,6 +681,13 @@ TEST(ServeSession, RejectsMalformedScenariosWithoutTouchingState) {
     EXPECT_EQ(session.fabric().capacity_epoch(), 0u);
   }
   sc.flows[0].bytes = 1e6;
+  // An infinite start would make the engine reject its event mid-schedule,
+  // leaving the events already queued for this scenario behind.
+  sc.flows.push_back(sc.flows[0]);
+  sc.flows[1].start_s = std::numeric_limits<double>::infinity();
+  EXPECT_THROW(session.run(sc), std::invalid_argument);
+  EXPECT_EQ(session.fabric().capacity_epoch(), 0u);
+  sc.flows.pop_back();
   sc.fail_links.push_back(1 << 28);  // out of range
   EXPECT_THROW(session.run(sc), std::invalid_argument);
   EXPECT_EQ(session.fabric().capacity_epoch(), 0u);
@@ -767,6 +872,85 @@ TEST(ServeFrontend, MetricsCommandListsServeCounters) {
   EXPECT_TRUE(frontend.handle_line("OPEN", out));
   EXPECT_TRUE(frontend.handle_line("METRICS", out));
   EXPECT_NE(out.str().find("METRIC serve.sessions_opened"), std::string::npos);
+}
+
+// --- line parser: LineCursor == istringstream >> ---------------------------
+
+// Seeded mutation test of the protocol's number syntax. Every line is read
+// by a random sequence of word/int/double reads, once through LineCursor and
+// once through the istringstream extraction it replaced, kept here as the
+// reference. Results, stored values (bitwise, also on failure and including
+// the sign of zero) and the sticky failure must agree on every read.
+TEST(ServeFrontend, LineCursorMatchesIstringstreamOnMutatedLines) {
+  const std::vector<std::string> seeds = {
+      "FLOW 0 1 20 1000000 0.5", "FAIL 0 12abc 7", "DELTA 3 -17 +2.5e9",
+      "FLOW +1 -2 3 4e-310 1e-400", "FLOW 1 2 3 1e400 -1e999",
+      "FAIL 2147483647 2147483648 -2147483648 -2147483649",
+      "FAIL 99999999999999999999999 -99999999999999999999999 007",
+      "DELTA 0 1 inf nan INF NaN infinity", "FLOW 0 1 2 0x1p3 0x10",
+      "DELTA 1 2 .5 -.5 5. . +. -. 1e 1e+ 1E-5 1.e5 1e5.5 1e5e5",
+      "FLOW 1 2 3 4.9e-324 2.4703282292062327e-324 2.4703282292062328e-324",
+      "FLOW 1 2 3 1.7976931348623157e308 1.7976931348623159e308",
+      "DELTA 1 2 0.000000000000000000000000000000001e-300 "
+      "100000000000000000000000000000000000000e300",
+      "FAIL\t1\r2\v3\f4 5\n6", "SUBMIT ++1 +-1 -+1 --1 - + 1",
+      "DELTA 1 2 -1e-400 -0 -0.0 +0e999 -4.9e-324",
+      // Out of range on the other side of the exponent's sign.
+      "DELTA 1 2 1" + std::string(330, '0') + "e-10 0." +
+          std::string(340, '0') + "1e10",
+      "  ", "", "RUN", "QUIT 0"};
+  const std::string alphabet = "0123456789+-.eE xaifnN\t\r";
+  sim::Rng rng(20261018);
+  constexpr int kLines = 20000;
+  int reads = 0;
+  for (int n = 0; n < kLines; ++n) {
+    std::string line = seeds[rng.index(seeds.size())];
+    const int edits = static_cast<int>(rng.index(6));
+    for (int e = 0; e < edits; ++e) {
+      const std::size_t at = line.empty() ? 0 : rng.index(line.size() + 1);
+      const char c = alphabet[rng.index(alphabet.size())];
+      switch (rng.index(3)) {
+        case 0:
+          line.insert(at, 1, c);
+          break;
+        case 1:
+          if (at < line.size()) line.erase(at, 1);
+          break;
+        default:
+          if (at < line.size()) line[at] = c;
+      }
+    }
+    serve::LineCursor cur(line);
+    std::istringstream ref(line);
+    const int n_reads = 1 + static_cast<int>(rng.index(8));
+    for (int r = 0; r < n_reads; ++r, ++reads) {
+      const auto kind = rng.index(3);
+      if (kind == 0) {
+        std::string_view w;
+        std::string wr;
+        const bool ok = cur.word(w);
+        const bool ok_ref = static_cast<bool>(ref >> wr);
+        ASSERT_EQ(ok, ok_ref) << "word read " << r << " of '" << line << "'";
+        if (ok) ASSERT_EQ(std::string(w), wr) << line;
+      } else if (kind == 1) {
+        int v = -777, v_ref = -777;
+        const bool ok = cur.number(v);
+        const bool ok_ref = static_cast<bool>(ref >> v_ref);
+        ASSERT_EQ(ok, ok_ref) << "int read " << r << " of '" << line << "'";
+        ASSERT_EQ(v, v_ref) << "int read " << r << " of '" << line << "'";
+      } else {
+        double v = -777.5, v_ref = -777.5;
+        const bool ok = cur.number(v);
+        const bool ok_ref = static_cast<bool>(ref >> v_ref);
+        ASSERT_EQ(ok, ok_ref) << "double read " << r << " of '" << line
+                              << "'";
+        ASSERT_EQ(std::memcmp(&v, &v_ref, sizeof v), 0)
+            << "double read " << r << " of '" << line << "': " << v
+            << " vs " << v_ref;
+      }
+    }
+  }
+  EXPECT_GT(reads, kLines);
 }
 
 }  // namespace

@@ -65,6 +65,31 @@ void BM_FullSystemShiftSolve(benchmark::State& state) {
 }
 BENCHMARK(BM_FullSystemShiftSolve)->Unit(benchmark::kMillisecond);
 
+// One SimComm bandwidth sample of a scheduler-placed job on the full
+// Frontier fabric: a rank permutation at one rank per GCD, on-node pairs
+// dropped, solved by steady_rates. This is the call apps::run_app repeats
+// per sample, so its cost should track the job's size, not the fabric's.
+void BM_SteadyRatesJob(benchmark::State& state) {
+  const auto m = machines::frontier();
+  const auto fabric = m.build_fabric();
+  sched::Scheduler sched(m.compute_nodes, 128, 7);
+  const auto job = sched.allocate(static_cast<int>(state.range(0)));
+  mpi::CommConfig ccfg;
+  ccfg.ppn = m.node.gpus;
+  const mpi::SimComm comm(m, &fabric, job->nodes, ccfg);
+  sim::Rng rng(ccfg.seed);
+  net::PairList pairs;
+  for (const auto& [r, peer] : net::random_permutation(comm.size(), rng))
+    if (comm.node_of_rank(r) != comm.node_of_rank(peer))
+      pairs.emplace_back(comm.endpoint_of_rank(r), comm.endpoint_of_rank(peer));
+  for (auto _ : state) {
+    auto rates = fabric.steady_rates(pairs);
+    benchmark::DoNotOptimize(rates.data());
+  }
+  state.SetItemsProcessed(state.iterations() * static_cast<long>(pairs.size()));
+}
+BENCHMARK(BM_SteadyRatesJob)->Arg(64)->Arg(256)->Arg(1024)->Unit(benchmark::kMillisecond);
+
 void BM_GemmModel(benchmark::State& state) {
   const auto g = hw::mi250x_gcd();
   int n = 128;

@@ -21,8 +21,15 @@ SimComm::SimComm(const machines::Machine& machine, const net::Fabric* fabric,
                               std::to_string(machine.total_nodes) + ")");
 }
 
-int SimComm::endpoint_of_rank(int rank) const {
-  return machines::node_endpoint(*machine_, node_of_rank(rank), nic_of_rank(rank));
+int SimComm::check_rank(int rank) const {
+  if (rank < 0 || rank >= size())
+    throw std::out_of_range("SimComm: rank " + std::to_string(rank) +
+                            " out of range [0, " + std::to_string(size()) + ")");
+  return rank;
+}
+
+int SimComm::endpoint_of(int rank) const {
+  return machines::node_endpoint(*machine_, node_of(rank), nic_of(rank));
 }
 
 double SimComm::nic_share_penalty() const {
@@ -31,23 +38,27 @@ double SimComm::nic_share_penalty() const {
 }
 
 double SimComm::latency(int rank_a, int rank_b) const {
+  check_rank(rank_a);
+  check_rank(rank_b);
   const auto& nic = machine_->node.nic;
   const double sw = 2.0 * nic.sw_overhead_s + nic_share_penalty();
-  if (node_of_rank(rank_a) == node_of_rank(rank_b))
+  if (node_of(rank_a) == node_of(rank_b))
     return 0.5e-6;  // shared-memory path
   if (fabric_ != nullptr)
-    return sw + fabric_->base_latency(endpoint_of_rank(rank_a), endpoint_of_rank(rank_b));
+    return sw + fabric_->base_latency(endpoint_of(rank_a), endpoint_of(rank_b));
   // Analytic machines: software + two wire hops + three switch transits.
   return sw + 2.0 * nic.wire_latency_s + 3.0 * 0.2e-6;
 }
 
 double SimComm::pt2pt_bandwidth(int rank_a, int rank_b) const {
+  check_rank(rank_a);
+  check_rank(rank_b);
   const auto& nic = machine_->node.nic;
-  if (node_of_rank(rank_a) == node_of_rank(rank_b))
+  if (node_of(rank_a) == node_of(rank_b))
     return machine_->node.cpu.stream_peak();  // on-node copies stream in DDR
   if (fabric_ != nullptr) {
-    const auto rates = fabric_->steady_rates(
-        {{endpoint_of_rank(rank_a), endpoint_of_rank(rank_b)}});
+    const auto rates =
+        fabric_->steady_rates({{endpoint_of(rank_a), endpoint_of(rank_b)}});
     return rates[0];
   }
   return nic.rate * nic.efficiency;
@@ -82,8 +93,8 @@ double SimComm::sustained_per_rank_bw() const {
     net::PairList pairs;
     pairs.reserve(perm.size());
     for (const auto& [r, peer] : perm) {
-      if (node_of_rank(r) == node_of_rank(peer)) continue;  // on-node: free
-      pairs.emplace_back(endpoint_of_rank(r), endpoint_of_rank(peer));
+      if (node_of(r) == node_of(peer)) continue;  // on-node: free
+      pairs.emplace_back(endpoint_of(r), endpoint_of(peer));
     }
     if (pairs.empty()) continue;
     const auto rates = fabric_->steady_rates(pairs);

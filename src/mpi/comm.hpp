@@ -44,11 +44,11 @@ class SimComm {
   int size() const { return static_cast<int>(nodes_.size()) * cfg_.ppn; }
   int nnodes() const { return static_cast<int>(nodes_.size()); }
   int ppn() const { return cfg_.ppn; }
-  int node_of_rank(int rank) const { return nodes_[static_cast<std::size_t>(rank / cfg_.ppn)]; }
-  int nic_of_rank(int rank) const {
-    return (rank % cfg_.ppn) % std::max(1, machine_->node.nics);
-  }
-  int endpoint_of_rank(int rank) const;
+  // Rank queries: a rank outside [0, size()) throws std::out_of_range, here
+  // and in every point-to-point call below.
+  int node_of_rank(int rank) const { return node_of(check_rank(rank)); }
+  int nic_of_rank(int rank) const { return nic_of(check_rank(rank)); }
+  int endpoint_of_rank(int rank) const { return endpoint_of(check_rank(rank)); }
 
   // --- point-to-point ---------------------------------------------------------
   // Zero-load one-way latency between two ranks (software + wire).
@@ -87,6 +87,15 @@ class SimComm {
 
  private:
   double nic_share_penalty() const;
+  int check_rank(int rank) const;
+  // Unchecked rank queries, for loops over ranks known to be in range.
+  int node_of(int rank) const {
+    return nodes_[static_cast<std::size_t>(rank / cfg_.ppn)];
+  }
+  int nic_of(int rank) const {
+    return (rank % cfg_.ppn) % std::max(1, machine_->node.nics);
+  }
+  int endpoint_of(int rank) const;
 
   const machines::Machine* machine_;
   const net::Fabric* fabric_;

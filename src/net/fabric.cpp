@@ -169,7 +169,6 @@ std::vector<double> Fabric::steady_rates(const std::vector<std::pair<int, int>>&
                                          const std::vector<double>* weights,
                                          std::vector<std::vector<int>>* paths_out,
                                          const std::vector<double>* rate_caps) const {
-  const auto& topo = topology();
   for (const auto& [s, d] : pairs) check_endpoints(s, d, "Fabric::steady_rates");
   const auto check_size = [&](const std::vector<double>* v, const char* what) {
     if (v != nullptr && v->size() != pairs.size())
@@ -181,49 +180,63 @@ std::vector<double> Fabric::steady_rates(const std::vector<std::pair<int, int>>&
   check_size(weights, "weights");
   check_size(rate_caps, "rate_caps");
   sim::Rng rng(config().seed);
-  std::vector<std::vector<int>> paths;
-  paths.reserve(pairs.size());
+  const std::size_t num_links = snap_->num_links();
+  const double* eff_cap = overlay_.effective_capacities().data();
+  const std::vector<char>* failed = overlay_.routing_failure_view();
+  // Each pair is routed into one reused buffer and appended at once to the
+  // thread's compact problem (solver.hpp), so the call costs O(pairs + nnz)
+  // whatever the fabric's size. Rate caps become virtual links private to
+  // the capped flow, so capped flows still take part in max-min fairness.
+  CompactPaths& problem = thread_compact_paths();
+  problem.begin(num_links);
+  static thread_local std::vector<int> path;
   // Per-link flow counts for adaptive routing. The per-thread buffer is kept
-  // all-zero between calls and reset by walking the routed paths, so a call
-  // costs O(nnz) here rather than O(num_links), also when routing throws.
+  // all-zero between calls and reset through the links the problem touched,
+  // also when routing throws.
   static thread_local std::vector<int> load;
-  if (load.size() < topo.links().size()) load.resize(topo.links().size(), 0);
-  auto reset_load = [&] {
-    for (const auto& p : paths)
-      for (int l : p) load[static_cast<std::size_t>(l)] = 0;
+  if (load.size() < num_links) load.resize(num_links, 0);
+  const auto reset_load = [&] {
+    for (int l : problem.original_ids())
+      if (l >= 0) load[static_cast<std::size_t>(l)] = 0;
   };
   try {
-    for (const auto& [s, d] : pairs) {
-      paths.push_back(route(s, d, rng, &load));
-      for (int l : paths.back()) ++load[static_cast<std::size_t>(l)];
+    for (std::size_t f = 0; f < pairs.size(); ++f) {
+      snap_->route_into(pairs[f].first, pairs[f].second, rng, &load, failed,
+                        path);
+      for (int l : path) {
+        problem.push_link(l, eff_cap);
+        ++load[static_cast<std::size_t>(l)];
+      }
+      // `!(cap <= 0)`, not `cap > 0`: a NaN cap gets its link, and the
+      // solver's validation rejects it.
+      const double cap = rate_caps != nullptr ? (*rate_caps)[f] : 0.0;
+      if (!(cap <= 0)) problem.push_virtual(cap);
+      problem.end_path();
     }
   } catch (...) {
     reset_load();
     throw;
   }
   reset_load();
-  const std::vector<double>& eff_cap = overlay_.effective_capacities();
-  std::vector<double> rates;
-  if (rate_caps != nullptr) {
-    // Realize caps as private virtual links appended to the capped flow.
-    std::vector<double> cap = eff_cap;
-    auto capped_paths = paths;
-    for (std::size_t f = 0; f < capped_paths.size(); ++f) {
-      const double c = (*rate_caps)[f];
-      if (c <= 0) continue;
-      capped_paths[f].push_back(static_cast<int>(cap.size()));
-      cap.push_back(c);  // bounds the flow's total rate
-    }
-    rates = max_min_rates_components(cap, capped_paths, weights);
-  } else {
-    rates = max_min_rates_components(eff_cap, paths, weights);
+  std::vector<double> rates(pairs.size(), 0.0);
+  max_min_rates_compact(problem, weights ? weights->data() : nullptr,
+                        rates.data());
+  if (!config().congestion_control) apply_hol_blocking(problem, rates);
+  if (paths_out) {
+    const PathsCsr& csr = problem.paths();
+    const std::vector<int>& link_of = problem.original_ids();
+    paths_out->assign(pairs.size(), {});
+    for (std::size_t f = 0; f < pairs.size(); ++f)
+      for (int i = csr.offsets[f]; i < csr.offsets[f + 1]; ++i) {
+        const int l = link_of[static_cast<std::size_t>(
+            csr.link_ids[static_cast<std::size_t>(i)])];
+        if (l >= 0) (*paths_out)[f].push_back(l);
+      }
   }
-  if (!config().congestion_control) apply_hol_blocking(paths, rates);
-  if (paths_out) *paths_out = std::move(paths);
   return rates;
 }
 
-void Fabric::apply_hol_blocking(const std::vector<std::vector<int>>& paths,
+void Fabric::apply_hol_blocking(const CompactPaths& problem,
                                 std::vector<double>& rates) const {
   // Without hardware congestion control, a saturated (typically ejection)
   // link backs frames up into the switch, and every flow crossing that
@@ -232,34 +245,56 @@ void Fabric::apply_hol_blocking(const std::vector<std::vector<int>>& paths,
   // each flow by the worst factor along its path.
   // Unthrottled desire per flow: its share of the injection link it enters
   // through (ranks sharing a NIC cannot each offer the full NIC rate).
+  // Everything is indexed by compact id and visits the touched links and
+  // their switches only; a virtual (rate-cap) link has no source switch, so
+  // the demand it collects is never read.
   const auto& topo = topology();
-  const std::vector<double>& eff_cap = overlay_.effective_capacities();
-  std::vector<int> inj_count(topo.links().size(), 0);
-  for (const auto& p : paths) ++inj_count[static_cast<std::size_t>(p.front())];
-  std::vector<double> demand(topo.links().size(), 0.0);
-  for (std::size_t f = 0; f < paths.size(); ++f) {
-    const auto inj = static_cast<std::size_t>(paths[f].front());
-    const double desire = eff_cap[inj] / std::max(1, inj_count[inj]);
-    for (int l : paths[f]) demand[static_cast<std::size_t>(l)] += desire;
+  const int n_sw = topo.num_switches();
+  const PathsCsr& csr = problem.paths();
+  const std::vector<double>& cap = problem.capacities();
+  const std::vector<int>& link_of = problem.original_ids();
+  const std::size_t nl = cap.size();
+  const int* lids = csr.link_ids.data();
+  const int* off = csr.offsets.data();
+  const std::size_t nf = csr.num_flows();
+  static thread_local std::vector<int> inj_count;  // [compact id]
+  static thread_local std::vector<double> demand;  // [compact id]
+  // [switch] kept all-1.0 between calls, reset through the touched links.
+  static thread_local std::vector<double> switch_factor;
+  if (switch_factor.size() < static_cast<std::size_t>(n_sw))
+    switch_factor.resize(static_cast<std::size_t>(n_sw), 1.0);
+  inj_count.assign(nl, 0);
+  demand.assign(nl, 0.0);
+  for (std::size_t f = 0; f < nf; ++f) ++inj_count[static_cast<std::size_t>(lids[off[f]])];
+  for (std::size_t f = 0; f < nf; ++f) {
+    const auto inj = static_cast<std::size_t>(lids[off[f]]);
+    const double desire = cap[inj] / std::max(1, inj_count[inj]);
+    for (int i = off[f]; i < off[f + 1]; ++i)
+      demand[static_cast<std::size_t>(lids[i])] += desire;
   }
-  std::vector<double> switch_factor(static_cast<std::size_t>(topo.num_switches()), 1.0);
-  for (const auto& l : topo.links()) {
-    if (l.src >= topo.num_switches()) continue;  // injection links: src is an endpoint
-    const double d = demand[static_cast<std::size_t>(l.id)];
-    if (d > eff_cap[static_cast<std::size_t>(l.id)]) {
-      const double factor = eff_cap[static_cast<std::size_t>(l.id)] / d;
-      auto& sf = switch_factor[static_cast<std::size_t>(l.src)];
-      sf = std::min(sf, factor);
+  const auto src_switch = [&](std::size_t c) {
+    const int l = link_of[c];
+    return l < 0 ? -1 : topo.link(l).src < n_sw ? topo.link(l).src : -1;
+  };
+  for (std::size_t c = 0; c < nl; ++c) {
+    const int sw = src_switch(c);  // injection links: src is an endpoint
+    if (sw >= 0 && demand[c] > cap[c]) {
+      auto& sf = switch_factor[static_cast<std::size_t>(sw)];
+      sf = std::min(sf, cap[c] / demand[c]);
     }
   }
-  for (std::size_t f = 0; f < paths.size(); ++f) {
+  for (std::size_t f = 0; f < nf; ++f) {
     double factor = 1.0;
-    for (int l : paths[f]) {
-      const auto& lk = topo.link(l);
-      if (lk.src < topo.num_switches())
-        factor = std::min(factor, switch_factor[static_cast<std::size_t>(lk.src)]);
+    for (int i = off[f]; i < off[f + 1]; ++i) {
+      const int sw = src_switch(static_cast<std::size_t>(lids[i]));
+      if (sw >= 0)
+        factor = std::min(factor, switch_factor[static_cast<std::size_t>(sw)]);
     }
     rates[f] *= factor;
+  }
+  for (std::size_t c = 0; c < nl; ++c) {
+    const int sw = src_switch(c);
+    if (sw >= 0) switch_factor[static_cast<std::size_t>(sw)] = 1.0;
   }
 }
 

@@ -159,7 +159,10 @@ class Fabric {
   // realized as per-flow virtual links, so capped flows still take part in
   // max-min fairness. Out-of-range endpoints throw std::out_of_range, and a
   // `weights` or `rate_caps` whose size differs from `pairs` throws
-  // std::invalid_argument, before anything is routed.
+  // std::invalid_argument, before anything is routed. A non-finite or
+  // negative capacity on a link some routed path crosses (or weight, or cap)
+  // throws std::invalid_argument; links no path crosses are not read. A call
+  // costs O(pairs + path links), with no pass over the fabric's links.
   std::vector<double> steady_rates(const std::vector<std::pair<int, int>>& pairs,
                                    const std::vector<double>* weights = nullptr,
                                    std::vector<std::vector<int>>* paths_out = nullptr,
@@ -208,7 +211,7 @@ class Fabric {
 
  private:
   void check_endpoints(int src_ep, int dst_ep, const char* who) const;
-  void apply_hol_blocking(const std::vector<std::vector<int>>& paths,
+  void apply_hol_blocking(const CompactPaths& problem,
                           std::vector<double>& rates) const;
 
   std::shared_ptr<const TopologySnapshot> snap_;

@@ -466,63 +466,35 @@ std::vector<double> max_min_rates_reference(
   return solve_core_reference(capacities, paths, weights, stats);
 }
 
-std::vector<double> max_min_rates_components(
-    const std::vector<double>& capacities,
-    const std::vector<std::vector<int>>& paths,
-    const std::vector<double>* weights, SolveStats* stats) {
-  const std::size_t nf = paths.size();
-  if (nf == 0) {
-    if (stats) *stats = SolveStats{};
-    return {};
-  }
-  validate(capacities, paths, weights);
+CompactPaths& thread_compact_paths() {
+  static thread_local CompactPaths paths;
+  return paths;
+}
+
+void max_min_rates_compact(const CompactPaths& problem, const double* weights,
+                           double* rates_out, SolveStats* stats) {
+  const PathsCsr& csr = problem.paths();
+  const double* caps = problem.capacities().data();
+  const std::size_t nf = csr.num_flows();
+  const std::size_t nl = problem.capacities().size();
+  if (stats) *stats = SolveStats{};
+  if (nf == 0) return;
+  validate_flat(caps, nl, weights, nf);
+  const int* lids = csr.link_ids.data();
+  const int* off = csr.offsets.data();
 
   // Per-thread scratch, reached below through `c` only: worker lambdas must
   // read the caller's instance, not their own thread's.
-  struct CompactScratch {
-    std::vector<std::uint64_t> mark;  // per fabric link: epoch last touched
-    std::vector<int> compact_id;      // per fabric link, valid when marked
-    std::uint64_t epoch = 0;
-    std::vector<double> caps;         // per compact link
-    PathsCsr csr;                     // the paths over compact ids
-    std::vector<int> parent;          // union-find, per compact link
-    std::vector<int> comp_of_root;    // per compact link
+  struct ComponentScratch {
+    std::vector<int> parent;        // union-find, per compact link
+    std::vector<int> comp_of_root;  // per compact link
     std::vector<int> comp_of_flow;
-    std::vector<int> comp_off;        // component -> flows, CSR
+    std::vector<int> comp_off;      // component -> flows, CSR
     std::vector<int> comp_flows;
     SolveScratch solve;
   };
-  static thread_local CompactScratch cs;
-  CompactScratch& c = cs;
-
-  // Renumber the touched links to compact ids in first-seen order. The mark
-  // is epoch-stamped, so everything below costs O(nnz) however large the
-  // fabric is. First-seen order is also the order the CSR core assigns its
-  // dense positions in, so solving over compact ids performs the same
-  // arithmetic as solving over fabric ids and every output bit matches.
-  if (c.mark.size() < capacities.size()) {
-    c.mark.resize(capacities.size(), 0);
-    c.compact_id.resize(capacities.size(), 0);
-  }
-  ++c.epoch;
-  c.caps.clear();
-  c.csr.clear();
-  for (const auto& p : paths) {
-    assert(!p.empty());
-    for (int l : p) {
-      const auto lu = static_cast<std::size_t>(l);
-      if (c.mark[lu] != c.epoch) {
-        c.mark[lu] = c.epoch;
-        c.compact_id[lu] = static_cast<int>(c.caps.size());
-        c.caps.push_back(capacities[lu]);
-      }
-      c.csr.push_link(c.compact_id[lu]);
-    }
-    c.csr.end_path();
-  }
-  const std::size_t nl = c.caps.size();
-  const int* lids = c.csr.link_ids.data();
-  const int* off = c.csr.offsets.data();
+  static thread_local ComponentScratch cs;
+  ComponentScratch& c = cs;
 
   // Link-connectivity union-find; two flows are coupled iff their paths
   // transitively share a link.
@@ -544,11 +516,9 @@ std::vector<double> max_min_rates_components(
     c.comp_of_flow[f] = comp;
   }
 
-  std::vector<double> rate(nf, 0.0);
-  const double* w = weights ? weights->data() : nullptr;
   if (nc == 1) {
-    max_min_rates_csr(c.caps.data(), nl, c.csr, w, rate.data(), stats, c.solve);
-    return rate;
+    max_min_rates_csr(caps, nl, csr, weights, rates_out, stats, c.solve);
+    return;
   }
 
   // Each component's flow list, ascending, by counting sort.
@@ -604,29 +574,48 @@ std::vector<double> max_min_rates_components(
           if (ps.mark[lu] != ps.epoch) {
             ps.mark[lu] = ps.epoch;
             ps.local_id[lu] = static_cast<int>(ps.sub_caps.size());
-            ps.sub_caps.push_back(c.caps[lu]);
+            ps.sub_caps.push_back(caps[lu]);
           }
           ps.sub_csr.push_link(ps.local_id[lu]);
         }
         ps.sub_csr.end_path();
-        if (w) ps.sub_w.push_back(w[fu]);
+        if (weights) ps.sub_w.push_back(weights[fu]);
       }
       ensure(ps.sub_rates, n_flows);
       max_min_rates_csr(ps.sub_caps.data(), ps.sub_caps.size(), ps.sub_csr,
-                        w ? ps.sub_w.data() : nullptr, ps.sub_rates.data(),
-                        &comp_stats[k], ps.solve);
+                        weights ? ps.sub_w.data() : nullptr,
+                        ps.sub_rates.data(), &comp_stats[k], ps.solve);
       for (std::size_t i = 0; i < n_flows; ++i)
-        rate[static_cast<std::size_t>(flows[i])] = ps.sub_rates[i];
+        rates_out[static_cast<std::size_t>(flows[i])] = ps.sub_rates[i];
     }
   });
 
-  if (stats) {
-    *stats = SolveStats{};
+  if (stats)
     for (const SolveStats& st : comp_stats) {
       stats->iterations += st.iterations;
       stats->bottleneck_links += st.bottleneck_links;
     }
+}
+
+std::vector<double> max_min_rates_components(
+    const std::vector<double>& capacities,
+    const std::vector<std::vector<int>>& paths,
+    const std::vector<double>* weights, SolveStats* stats) {
+  if (paths.empty()) {
+    if (stats) *stats = SolveStats{};
+    return {};
   }
+  validate(capacities, paths, weights);
+  CompactPaths& problem = thread_compact_paths();
+  problem.begin(capacities.size());
+  for (const auto& p : paths) {
+    assert(!p.empty());
+    for (int l : p) problem.push_link(l, capacities.data());
+    problem.end_path();
+  }
+  std::vector<double> rate(paths.size(), 0.0);
+  max_min_rates_compact(problem, weights ? weights->data() : nullptr,
+                        rate.data(), stats);
   return rate;
 }
 

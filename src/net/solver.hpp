@@ -15,7 +15,7 @@
 // it, and `max_min_rates_reference`, the original implementation, is kept as
 // the differential oracle that pins it bit-for-bit. Each solve runs
 // serially on its calling thread; parallelism lives a level up, across the
-// components of `max_min_rates_components` and across serving sessions.
+// components of `max_min_rates_compact` and across serving sessions.
 #pragma once
 
 #include <cstddef>
@@ -156,11 +156,68 @@ std::vector<double> max_min_rates_reference(
     const std::vector<std::vector<int>>& paths,
     const std::vector<double>* weights = nullptr, SolveStats* stats = nullptr);
 
-// Same allocation, computed by decomposing the flow graph into connected
-// components (flows transitively sharing links) and solving each component
-// independently on the global thread pool (sim::parallel_for). Components
-// never exchange bandwidth, so the union of per-component solutions equals
-// the global solution — the incremental FlowSim re-solve has relied on that
+// A path set renumbered onto compact link ids: the links the paths cross get
+// ids 0, 1, ... in first-seen order, with their capacities alongside. The
+// original->compact map is kept all-unset between problems and cleared
+// through the links the last problem touched, so building a problem costs
+// O(nnz) however many links the fabric has. First-seen order is the order
+// the CSR core assigns its dense positions in: solving the compact problem
+// performs the same arithmetic as solving over the original ids, bit for
+// bit. `push_virtual` adds a link private to the current path (a rate cap).
+class CompactPaths {
+ public:
+  const PathsCsr& paths() const { return csr_; }  // over compact ids
+  const std::vector<double>& capacities() const { return caps_; }
+  // [compact id] the original link id, -1 for a virtual link.
+  const std::vector<int>& original_ids() const { return link_of_; }
+
+  // Start an empty problem over original link ids [0, num_links).
+  void begin(std::size_t num_links) {
+    for (int l : link_of_)
+      if (l >= 0) id_[static_cast<std::size_t>(l)] = -1;
+    if (id_.size() < num_links) id_.resize(num_links, -1);
+    csr_.clear();
+    caps_.clear();
+    link_of_.clear();
+  }
+  // Append original link `l` to the current path; `capacities[l]` is read
+  // the first time the problem sees `l`.
+  void push_link(int l, const double* capacities) {
+    int& id = id_[static_cast<std::size_t>(l)];
+    if (id < 0) {
+      // Map `l` only once it is listed, so that `begin` can always unmap it.
+      caps_.push_back(capacities[static_cast<std::size_t>(l)]);
+      link_of_.push_back(l);
+      id = static_cast<int>(caps_.size()) - 1;
+    }
+    csr_.push_link(id);
+  }
+  void push_virtual(double capacity) {
+    csr_.push_link(static_cast<int>(caps_.size()));
+    caps_.push_back(capacity);
+    link_of_.push_back(-1);
+  }
+  void end_path() { csr_.end_path(); }
+
+ private:
+  PathsCsr csr_;
+  std::vector<double> caps_;
+  std::vector<int> link_of_;
+  std::vector<int> id_;  // [original link] compact id, -1 when unset
+};
+
+// The calling thread's CompactPaths, shared by every builder on the thread
+// (`max_min_rates_components` and `Fabric::steady_rates`), so a process
+// holds one fabric-sized remap per thread, not one per caller. A builder
+// must finish with it before anything it calls builds another problem.
+CompactPaths& thread_compact_paths();
+
+// Max-min rates of a compact problem (one rate per flow into `rates_out`),
+// by decomposing the flow graph into connected components (flows
+// transitively sharing links) and solving each component independently on
+// the global thread pool (sim::parallel_for). Components never exchange
+// bandwidth, so the union of per-component solutions equals the global
+// solution — the incremental FlowSim re-solve has relied on that
 // bit-for-bit since PR 1. Determinism: component ids are assigned in
 // first-flow order, rates are written to index-disjoint slots, and `stats`
 // are summed in ascending component id — output is byte-identical for any
@@ -168,7 +225,14 @@ std::vector<double> max_min_rates_reference(
 // total, which can exceed the single-solve count (ties across unrelated
 // components no longer collapse into one global iteration). Each worker
 // packs its components into a thread-local CSR arena + scratch, so the
-// steady-state cost is allocation-free here too.
+// steady-state cost is allocation-free here too. Validates only what it
+// solves: a non-finite or negative capacity of a crossed link, or weight,
+// throws std::invalid_argument before anything is solved.
+void max_min_rates_compact(const CompactPaths& problem, const double* weights,
+                           double* rates_out, SolveStats* stats = nullptr);
+
+// `max_min_rates_compact` over a vector-of-paths problem: validates every
+// capacity and weight, then packs the paths into `thread_compact_paths()`.
 std::vector<double> max_min_rates_components(
     const std::vector<double>& capacities,
     const std::vector<std::vector<int>>& paths,

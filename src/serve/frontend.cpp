@@ -6,6 +6,7 @@
 #include <istream>
 #include <limits>
 #include <ostream>
+#include <vector>
 
 #include "obs/metrics.hpp"
 
@@ -150,6 +151,20 @@ bool LineCursor::number(double& out) {
   return true;
 }
 
+namespace {
+
+// Whether `token` (one word of the line) is a number and nothing else:
+// "12abc" and an out-of-range "1e999" are not, though a cursor reading on
+// through the line would take 12 from the first and DBL_MAX from the second.
+template <typename T>
+bool whole_number(std::string_view token, T& out) {
+  LineCursor cur(token);
+  std::string_view rest;
+  return cur.number(out) && !cur.word(rest);
+}
+
+}  // namespace
+
 void Frontend::serve(std::istream& in, std::ostream& out) {
   std::string line;
   while (std::getline(in, line)) {
@@ -190,25 +205,33 @@ bool Frontend::handle_line(const std::string& line, std::ostream& out) {
       out << "ERR usage: FAIL <id> <link>...\n";
       return true;
     }
-    Scenario& sc = staged_[id];
+    // Every link first, then stage: a rejected line stages nothing.
+    std::vector<int> links;
+    std::string_view tok;
     int link;
-    int n = 0;
-    while (ss.number(link)) {
-      sc.fail_links.push_back(link);
-      ++n;
+    while (ss.word(tok)) {
+      if (!whole_number(tok, link)) {
+        links.clear();
+        break;
+      }
+      links.push_back(link);
     }
-    if (n == 0) {
+    if (links.empty()) {
       out << "ERR usage: FAIL <id> <link>...\n";
       return true;
     }
+    auto& staged = staged_[id].fail_links;
+    staged.insert(staged.end(), links.begin(), links.end());
     out << "OK\n";
     return true;
   }
   if (cmd == "DELTA") {
     int id, link;
     double cap;
+    std::string_view cap_word;
     if (!ss.number(id) || batcher_.session(id) == nullptr ||
-        !ss.number(link) || !ss.number(cap)) {
+        !ss.number(link) || !ss.word(cap_word) ||
+        !whole_number(cap_word, cap)) {
       out << "ERR usage: DELTA <id> <link> <cap_Bps>\n";
       return true;
     }
@@ -225,7 +248,11 @@ bool Frontend::handle_line(const std::string& line, std::ostream& out) {
       out << "ERR usage: FLOW <id> <src> <dst> <bytes> [<start_s>]\n";
       return true;
     }
-    ss.number(f.start_s);  // optional, defaults to 0
+    std::string_view start;  // optional, defaults to 0
+    if (ss.word(start) && !whole_number(start, f.start_s)) {
+      out << "ERR usage: FLOW <id> <src> <dst> <bytes> [<start_s>]\n";
+      return true;
+    }
     staged_[id].flows.push_back(f);
     out << "OK\n";
     return true;

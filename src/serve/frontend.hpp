@@ -20,7 +20,9 @@
 // happen there). A rejected SUBMIT keeps the staged scenario intact for
 // retry; SUBMIT with nothing staged is an error, never an empty scenario.
 // Unknown commands and malformed arguments answer ERR and leave every
-// session untouched.
+// session, and everything staged, untouched. The last number of a line
+// (each FAIL link, a DELTA capacity, a FLOW start) must be a whole word that
+// reads in range: "FAIL 0 12abc" and "FLOW 0 1 2 3 1e999" are errors.
 #pragma once
 
 #include <iosfwd>
@@ -70,6 +72,9 @@ class Frontend {
 
   // Process one command line; returns false when the line was QUIT.
   bool handle_line(const std::string& line, std::ostream& out);
+
+  // Scenarios staged so far, per open session id.
+  const std::map<int, Scenario>& staged() const { return staged_; }
 
  private:
   Batcher& batcher_;

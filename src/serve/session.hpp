@@ -33,6 +33,8 @@ struct FlowSpec {
   int dst = 0;
   double bytes = 0;
   double start_s = 0;
+
+  friend bool operator==(const FlowSpec&, const FlowSpec&) = default;
 };
 
 // A complete what-if question. `fail_links` / `capacity_overrides` describe
@@ -43,6 +45,8 @@ struct Scenario {
   std::vector<int> fail_links;
   std::vector<std::pair<int, double>> capacity_overrides;  // (link, B/s)
   std::vector<FlowSpec> flows;
+
+  friend bool operator==(const Scenario&, const Scenario&) = default;
 };
 
 struct ScenarioResult {

@@ -71,6 +71,35 @@ TEST(SimComm, RejectsNodesOutsideTheMachine) {
   EXPECT_GT(comm.latency(0, 8), 0.0);
 }
 
+// A rank >= size() used to read past the node list, and one in (-ppn, 0)
+// truncated to node 0; every public rank entry point now rejects both.
+TEST(SimComm, RejectsOutOfRangeRanks) {
+  Fixture fx;
+  auto fabric = fx.m.build_fabric();
+  mpi::SimComm comm(fx.m, &fabric, iota_nodes(2), {.ppn = 8});
+  ASSERT_EQ(comm.size(), 16);
+  for (int bad : {-1, -7, -8, 16, 17, 1 << 30}) {
+    EXPECT_THROW(comm.node_of_rank(bad), std::out_of_range) << bad;
+    EXPECT_THROW(comm.nic_of_rank(bad), std::out_of_range) << bad;
+    EXPECT_THROW(comm.endpoint_of_rank(bad), std::out_of_range) << bad;
+    for (const auto& [a, b] : {std::pair{bad, 0}, std::pair{0, bad}}) {
+      EXPECT_THROW(comm.latency(a, b), std::out_of_range) << a << " " << b;
+      EXPECT_THROW(comm.pt2pt_bandwidth(a, b), std::out_of_range)
+          << a << " " << b;
+      EXPECT_THROW(comm.pt2pt_time(a, b, 1e6), std::out_of_range)
+          << a << " " << b;
+    }
+  }
+  // The edges of the range still answer.
+  EXPECT_EQ(comm.node_of_rank(15), 1);
+  EXPECT_GT(comm.latency(0, 15), 0.0);
+  EXPECT_GT(comm.pt2pt_bandwidth(15, 0), 0.0);
+  // The analytic mode checks the same way.
+  mpi::SimComm analytic(fx.m, nullptr, iota_nodes(2), {.ppn = 8});
+  EXPECT_THROW(analytic.pt2pt_time(0, 16, 1e6), std::out_of_range);
+  EXPECT_GT(analytic.pt2pt_time(0, 15, 1e6), 0.0);
+}
+
 TEST(SimComm, OnNodeLatencyBelowOffNode) {
   Fixture fx;
   auto fabric = fx.m.build_fabric();

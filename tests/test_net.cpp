@@ -4,6 +4,7 @@
 #include <algorithm>
 #include <bit>
 #include <cmath>
+#include <functional>
 #include <limits>
 #include <numeric>
 #include <stdexcept>
@@ -455,6 +456,197 @@ TEST(Fabric, CongestionControlIsolatesVictims) {
   EXPECT_NEAR(rcc[0] / 1e9, 17.5, 0.1);
   // Without CC, head-of-line blocking at the shared switch degrades it.
   EXPECT_LT(rnc[0], rcc[0] * 0.5);
+}
+
+// Head-of-line blocking as it read before steady_rates went compact: over
+// every topology link and switch, on fabric-id paths. The oracle for the
+// touched-links-only pass.
+void hol_reference(const net::Fabric& f,
+                   const std::vector<std::vector<int>>& paths,
+                   std::vector<double>& rates) {
+  const auto& topo = f.topology();
+  const auto& cap = f.effective_capacities();
+  std::vector<int> inj_count(topo.links().size(), 0);
+  for (const auto& p : paths) ++inj_count[static_cast<std::size_t>(p.front())];
+  std::vector<double> demand(topo.links().size(), 0.0);
+  for (std::size_t i = 0; i < paths.size(); ++i) {
+    const auto inj = static_cast<std::size_t>(paths[i].front());
+    const double desire = cap[inj] / std::max(1, inj_count[inj]);
+    for (int l : paths[i]) demand[static_cast<std::size_t>(l)] += desire;
+  }
+  std::vector<double> switch_factor(
+      static_cast<std::size_t>(topo.num_switches()), 1.0);
+  for (const auto& l : topo.links()) {
+    if (l.src >= topo.num_switches()) continue;
+    const auto lu = static_cast<std::size_t>(l.id);
+    if (demand[lu] > cap[lu]) {
+      auto& sf = switch_factor[static_cast<std::size_t>(l.src)];
+      sf = std::min(sf, cap[lu] / demand[lu]);
+    }
+  }
+  for (std::size_t i = 0; i < paths.size(); ++i) {
+    double factor = 1.0;
+    for (int l : paths[i]) {
+      const int src = topo.link(l).src;
+      if (src < topo.num_switches())
+        factor = std::min(factor, switch_factor[static_cast<std::size_t>(src)]);
+    }
+    rates[i] *= factor;
+  }
+}
+
+// What steady_rates must return for the paths it routed: the reference
+// water-filling over the fabric's capacities, rate caps appended as virtual
+// links, then head-of-line blocking when congestion control is off.
+std::vector<double> steady_rates_reference(
+    const net::Fabric& f, const std::vector<std::vector<int>>& paths,
+    const std::vector<double>* weights, const std::vector<double>* rate_caps) {
+  std::vector<double> cap = f.effective_capacities();
+  auto capped = paths;
+  for (std::size_t i = 0; rate_caps != nullptr && i < capped.size(); ++i) {
+    if ((*rate_caps)[i] <= 0) continue;
+    capped[i].push_back(static_cast<int>(cap.size()));
+    cap.push_back((*rate_caps)[i]);
+  }
+  auto rates = net::max_min_rates_reference(cap, capped, weights);
+  if (!f.config().congestion_control) hol_reference(f, paths, rates);
+  return rates;
+}
+
+TEST(Fabric, SteadyRatesMatchesReferenceBitwise) {
+  struct Case {
+    const char* name;
+    std::function<topo::Topology()> topology;
+    net::Routing routing;
+  };
+  const auto dragonfly = [] {
+    return topo::Topology::uniform_dragonfly(8, {4, 4}, 1, 25e9, 180e-9);
+  };
+  const std::vector<Case> cases = {
+      {"dragonfly-minimal", dragonfly, net::Routing::Minimal},
+      {"dragonfly-valiant", dragonfly, net::Routing::Valiant},
+      {"dragonfly-adaptive", dragonfly, net::Routing::Adaptive},
+      {"os-fat-tree",
+       [] {
+         return topo::Topology::oversubscribed_fat_tree(8, 8, 4.0, 25e9,
+                                                        180e-9);
+       },
+       net::Routing::Adaptive},
+      {"rotor",
+       [] {
+         return topo::Topology::rotor(8, 8, 7, 250e-6, 0.9, 25e9, 180e-9);
+       },
+       net::Routing::Adaptive},
+  };
+  int samples = 0;
+  for (const Case& c : cases) {
+    for (const bool cc : {true, false}) {
+      for (const bool degraded : {false, true}) {
+        net::FabricConfig cfg;
+        cfg.routing = c.routing;
+        cfg.congestion_control = cc;
+        net::Fabric f(c.topology(), cfg);
+        const auto& topo = f.topology();
+        const int eps = topo.num_endpoints();
+        if (degraded) {
+          // Fail the first Global link, halve the first Local one and
+          // zero one terminal link.
+          for (const auto& l : topo.links())
+            if (l.kind == topo::LinkKind::Global) {
+              f.fail_link(l.id);
+              break;
+            }
+          for (const auto& l : topo.links())
+            if (l.kind == topo::LinkKind::Local) {
+              f.set_link_capacity(l.id, f.effective_capacities()[
+                  static_cast<std::size_t>(l.id)] / 2);
+              break;
+            }
+          f.set_link_capacity(topo.links().front().id, 0.0);
+        }
+        sim::Rng rng(static_cast<std::uint64_t>(samples) + 11);
+        // A dense permutation (one component on these fabrics) and a
+        // sparse sample of same-switch pairs: every such pair is its own
+        // component, so the multi-component split runs.
+        std::vector<net::PairList> pair_sets = {
+            net::random_permutation(eps, rng), {}};
+        for (int e = 0; e + 1 < eps; e += 2 * (eps / topo.num_switches()))
+          if (topo.endpoint_switch(e) == topo.endpoint_switch(e + 1))
+            pair_sets[1].emplace_back(e, e + 1);
+        pair_sets[1].emplace_back(0, eps - 1);
+        ASSERT_GE(pair_sets[1].size(), 3u) << c.name;
+        for (const auto& pairs : pair_sets) {
+          std::vector<double> weights, caps;
+          for (std::size_t i = 0; i < pairs.size(); ++i) {
+            weights.push_back(static_cast<double>(1 + rng.index(4)));
+            caps.push_back(rng.bernoulli(0.5) ? 0.0 : 1e9 * (1 + rng.index(30)));
+          }
+          for (int mode = 0; mode < 4; ++mode) {
+            const auto* w = (mode & 1) ? &weights : nullptr;
+            const auto* rc = (mode & 2) ? &caps : nullptr;
+            std::vector<std::vector<int>> paths;
+            const auto rates = f.steady_rates(pairs, w, &paths, rc);
+            ASSERT_EQ(paths.size(), pairs.size());
+            const auto ref = steady_rates_reference(f, paths, w, rc);
+            ASSERT_EQ(rates.size(), ref.size());
+            for (std::size_t i = 0; i < ref.size(); ++i)
+              ASSERT_EQ(std::bit_cast<std::uint64_t>(rates[i]),
+                        std::bit_cast<std::uint64_t>(ref[i]))
+                  << c.name << " cc=" << cc << " degraded=" << degraded
+                  << " mode=" << mode << " flow " << i << ": " << rates[i]
+                  << " vs " << ref[i];
+            // Without paths_out the call answers the same bits.
+            const auto again = f.steady_rates(pairs, w, nullptr, rc);
+            for (std::size_t i = 0; i < ref.size(); ++i)
+              ASSERT_EQ(std::bit_cast<std::uint64_t>(again[i]),
+                        std::bit_cast<std::uint64_t>(rates[i]))
+                  << c.name << " flow " << i;
+            ++samples;
+          }
+        }
+      }
+    }
+  }
+  EXPECT_EQ(samples, 5 * 2 * 2 * 2 * 4);
+}
+
+// steady_rates validates the capacities it solves over, not the fabric's:
+// a bad capacity on a crossed link throws, one on a link no path crosses is
+// never read. The public solver adapters still check the whole vector.
+TEST(Fabric, SteadyRatesValidatesTheLinksItSolves) {
+  auto f = small_dragonfly(net::Routing::Minimal);
+  const net::PairList pairs{{0, 1}, {2, 3}};  // same-switch: inj + ej
+  std::vector<std::vector<int>> paths;
+  const auto clean = f.steady_rates(pairs, nullptr, &paths);
+  const int crossed = paths[0][0];
+  int untouched = -1;
+  for (const auto& l : f.topology().links())
+    if (l.kind == topo::LinkKind::Global) {
+      untouched = l.id;
+      break;
+    }
+  ASSERT_GE(untouched, 0);
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  for (const double bad : {nan, -1.0, inf}) {
+    f.set_link_capacity(crossed, bad);
+    EXPECT_THROW(f.steady_rates(pairs), std::invalid_argument) << bad;
+    f.clear_link_capacity(crossed);
+    f.set_link_capacity(untouched, bad);
+    EXPECT_EQ(f.steady_rates(pairs), clean) << bad;
+    EXPECT_THROW(net::max_min_rates_components(f.effective_capacities(), paths),
+                 std::invalid_argument)
+        << bad;
+    f.clear_link_capacity(untouched);
+  }
+  // A bad rate cap is a capacity the call solves over, too.
+  for (const double bad : {nan, inf}) {
+    const std::vector<double> caps{bad, 0.0};
+    EXPECT_THROW(f.steady_rates(pairs, nullptr, nullptr, &caps),
+                 std::invalid_argument)
+        << bad;
+  }
+  EXPECT_EQ(f.steady_rates(pairs), clean);
 }
 
 TEST(Fabric, BaseLatencyGrowsWithDistance) {

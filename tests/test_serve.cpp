@@ -864,6 +864,53 @@ TEST(ServeFrontend, SubmitKeepsStagedStateOnRejection) {
       << "backpressure must not have destroyed the staged flow";
 }
 
+// A rejected line stages nothing: the staged scenarios compare equal before
+// and after every one of them, including the lines that used to stage part
+// of themselves (an empty FAIL created the session's entry, "12abc" staged
+// link 12, "1e999" staged a start of DBL_MAX).
+TEST(ServeFrontend, RejectedLinesStageNothing) {
+  auto snap = net::make_snapshot(small_topology(), minimal_cfg());
+  serve::Batcher batcher(snap);
+  serve::Frontend frontend(batcher);
+  std::ostringstream setup;
+  ASSERT_TRUE(frontend.handle_line("OPEN", setup));
+  ASSERT_TRUE(frontend.handle_line("OPEN", setup));
+
+  const std::vector<std::string> rejected = {
+      "FAIL 0", "FAIL 0 12abc", "FAIL 0 3 12abc", "FAIL 0 3 x", "FAIL 0 1e3",
+      "FAIL 0 99999999999", "FAIL 7 3", "FAIL x 3",
+      "FLOW 0 1 20 1000000 1e999", "FLOW 0 1 20 1000000 0.5abc",
+      "FLOW 0 1 20 1000000 -1e999", "FLOW 0 1 20 1e6abc", "FLOW 0 1 20",
+      "FLOW 7 1 20 1000000", "DELTA 0 5 12abc", "DELTA 0 5 1e999",
+      "DELTA 0 5", "DELTA 7 5 1e9"};
+  // Twice: once with nothing staged, once over an already staged scenario.
+  for (int pass = 0; pass < 2; ++pass) {
+    for (const std::string& line : rejected) {
+      const auto before = frontend.staged();
+      std::ostringstream out;
+      EXPECT_TRUE(frontend.handle_line(line, out));
+      EXPECT_EQ(out.str().rfind("ERR usage", 0), 0u) << line << ": " << out.str();
+      EXPECT_TRUE(frontend.staged() == before) << line;
+    }
+    if (pass == 0) {
+      // Nothing reached session 0: SUBMIT has nothing to send.
+      std::ostringstream submit;
+      EXPECT_TRUE(frontend.handle_line("SUBMIT 0", submit));
+      EXPECT_EQ(submit.str(), "ERR nothing-staged\n");
+      ASSERT_TRUE(frontend.handle_line("FAIL 0 3 4", setup));
+      ASSERT_TRUE(frontend.handle_line("FLOW 0 1 20 1000000 0.5", setup));
+      ASSERT_TRUE(frontend.handle_line("DELTA 0 5 1e9", setup));
+    }
+  }
+  // The accepted lines staged exactly what they say.
+  serve::Scenario want;
+  want.fail_links = {3, 4};
+  want.flows.push_back({1, 20, 1e6, 0.5});
+  want.capacity_overrides.emplace_back(5, 1e9);
+  ASSERT_EQ(frontend.staged().size(), 1u);
+  EXPECT_TRUE(frontend.staged().at(0) == want);
+}
+
 TEST(ServeFrontend, MetricsCommandListsServeCounters) {
   auto snap = net::make_snapshot(small_topology(), minimal_cfg());
   serve::Batcher batcher(snap);

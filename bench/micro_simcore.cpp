@@ -3,6 +3,8 @@
 // These back DESIGN.md's flow-level-simulation ablation (design decision 1).
 #include <benchmark/benchmark.h>
 
+#include <numeric>
+
 #include "core/xscale.hpp"
 
 using namespace xscale;
@@ -65,30 +67,62 @@ void BM_FullSystemShiftSolve(benchmark::State& state) {
 }
 BENCHMARK(BM_FullSystemShiftSolve)->Unit(benchmark::kMillisecond);
 
-// One SimComm bandwidth sample of a scheduler-placed job on the full
-// Frontier fabric: a rank permutation at one rank per GCD, on-node pairs
-// dropped, solved by steady_rates. This is the call apps::run_app repeats
-// per sample, so its cost should track the job's size, not the fabric's.
-void BM_SteadyRatesJob(benchmark::State& state) {
-  const auto m = machines::frontier();
-  const auto fabric = m.build_fabric();
-  sched::Scheduler sched(m.compute_nodes, 128, 7);
-  const auto job = sched.allocate(static_cast<int>(state.range(0)));
+// One SimComm bandwidth sample on the full Frontier fabric: a rank
+// permutation at one rank per GCD over `nodes`, on-node pairs dropped,
+// solved by steady_rates. This is the call apps::run_app repeats per
+// sample. `levels` is the water-filling levels of the sample's solve
+// (summed over its components): deterministic, so a change of it between
+// two runs is a change of the solve, not noise. It is counted once, outside
+// the timed loop.
+void run_steady_rates_sample(benchmark::State& state, const machines::Machine& m,
+                             const net::Fabric& fabric,
+                             const std::vector<int>& nodes) {
   mpi::CommConfig ccfg;
   ccfg.ppn = m.node.gpus;
-  const mpi::SimComm comm(m, &fabric, job->nodes, ccfg);
+  const mpi::SimComm comm(m, &fabric, nodes, ccfg);
   sim::Rng rng(ccfg.seed);
   net::PairList pairs;
   for (const auto& [r, peer] : net::random_permutation(comm.size(), rng))
     if (comm.node_of_rank(r) != comm.node_of_rank(peer))
       pairs.emplace_back(comm.endpoint_of_rank(r), comm.endpoint_of_rank(peer));
+  std::vector<std::vector<int>> paths;
+  fabric.steady_rates(pairs, nullptr, &paths);
+  net::SolveStats stats;
+  net::max_min_rates_components(fabric.effective_capacities(), paths, nullptr,
+                                &stats);
   for (auto _ : state) {
     auto rates = fabric.steady_rates(pairs);
     benchmark::DoNotOptimize(rates.data());
   }
   state.SetItemsProcessed(state.iterations() * static_cast<long>(pairs.size()));
+  state.counters["levels"] = static_cast<double>(stats.iterations);
+}
+
+// A scheduler-placed job: its cost should track the job's size, not the
+// fabric's.
+void BM_SteadyRatesJob(benchmark::State& state) {
+  const auto m = machines::frontier();
+  const auto fabric = m.build_fabric();
+  sched::Scheduler sched(m.compute_nodes, 128, 7);
+  const auto job = sched.allocate(static_cast<int>(state.range(0)));
+  run_steady_rates_sample(state, m, fabric, job->nodes);
 }
 BENCHMARK(BM_SteadyRatesJob)->Arg(64)->Arg(256)->Arg(1024)->Unit(benchmark::kMillisecond);
+
+// Nodes 0..N-1, the allocation run_app gets from the paper benches (Tables
+// 6 and 7, §4.4): one component thousands of levels deep.
+void BM_SteadyRatesContiguous(benchmark::State& state) {
+  const auto m = machines::frontier();
+  const auto fabric = m.build_fabric();
+  std::vector<int> nodes(static_cast<std::size_t>(state.range(0)));
+  std::iota(nodes.begin(), nodes.end(), 0);
+  run_steady_rates_sample(state, m, fabric, nodes);
+}
+BENCHMARK(BM_SteadyRatesContiguous)
+    ->Arg(1024)
+    ->Arg(4096)
+    ->Arg(9216)
+    ->Unit(benchmark::kMillisecond);
 
 void BM_GemmModel(benchmark::State& state) {
   const auto g = hw::mi250x_gcd();

@@ -19,7 +19,12 @@ speed, so the gate is built from machine-robust layers:
 2. Coverage: every baseline row must be in the current snapshot, except
    the multi-Frontier rows a --quick recording skips.
 
-3. Cross-snapshot per-benchmark regression, normalised for machine speed:
+3. Exact work: a row that counts its water-filling `levels` (a
+   deterministic count, computed outside the timed loop) must count as
+   many as the baseline. A change there is a change of the solve, which no
+   host speed explains.
+
+4. Cross-snapshot per-benchmark regression, normalised for machine speed:
    the median current/baseline throughput ratio across all shared
    benchmarks estimates the host-speed factor; any single benchmark whose
    ratio falls below `tolerance * median` regressed relative to its peers
@@ -174,6 +179,16 @@ def check_missing(base, cur, errors):
                  "scripts/record_bench.sh)")
 
 
+def check_levels(base, cur, errors):
+    for name in sorted(base):
+        want = base[name].get("levels")
+        got = cur.get(name, {}).get("levels")
+        if want is not None and got is not None and got != want:
+            fail(errors,
+                 f"{name}: levels = {got}, baseline {want} (the solve "
+                 "changed; levels do not depend on the host)")
+
+
 def check_regression(base, cur, tolerance, errors):
     ratios = {}
     for name, b in base.items():
@@ -236,6 +251,7 @@ def main():
     errors = []
     check_missing(base, cur, errors)
     check_structural(cur, errors)
+    check_levels(base, cur, errors)
     check_regression(base, cur, args.tolerance, errors)
     if errors:
         print(f"\n{len(errors)} check(s) failed")

@@ -74,6 +74,9 @@ def rev():
     except Exception:
         return "unknown"
 
+# google-benchmark reports real_time in the row's time_unit.
+MS_PER_UNIT = {"ns": 1e-6, "us": 1e-3, "ms": 1.0, "s": 1e3}
+
 snapshot = {"git": rev(), "benchmarks": {}}
 for name in ("micro_flowsim", "micro_simcore", "micro_serve"):
     with open(f"{tmp}/{name}.json") as f:
@@ -92,15 +95,15 @@ for name in ("micro_flowsim", "micro_simcore", "micro_serve"):
     for b in data.get("benchmarks", []):
         if b.get("run_type") == "aggregate":
             continue
-        entry = {"real_time_ms": round(b["real_time"] / 1e6, 3)
-                 if b.get("time_unit") == "ns" else round(b["real_time"], 3)}
+        entry = {"real_time_ms": round(
+            b["real_time"] * MS_PER_UNIT[b.get("time_unit", "ns")], 3)}
         for k in ("items_per_second", "allocs/resolve", "allocs/op",
                   "steady_allocs/op",
                   "comp_avg", "warm%", "frontier_avg",
                   "threads", "heap", "stale",
                   "epochs_max", "reroutes",
                   "slot_transitions",
-                  "writeback%", "topo_build_ms"):
+                  "writeback%", "topo_build_ms", "levels"):
             if k in b:
                 entry[k] = round(b[k], 6)
         snapshot["benchmarks"][f"{name}/{b['name']}"] = entry

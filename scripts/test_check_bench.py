@@ -196,6 +196,29 @@ class CheckBenchDriver(unittest.TestCase):
         r = self.run_gate(path, path)
         self.assertEqual(r.returncode, 0, r.stdout + r.stderr)
 
+    def test_levels_must_match_baseline(self):
+        # The levels a solve takes are host-independent: a row whose count
+        # moved changed the solve, however fast it ran.
+        row = "micro_simcore/BM_SteadyRatesContiguous/1024"
+        base = self.healthy()
+        base[row] = entry(1e6, levels=883.0)
+        base_path = self.write("levels_base.json", snapshot(base))
+        r = self.run_gate(base_path, base_path)
+        self.assertEqual(r.returncode, 0, r.stdout + r.stderr)
+
+        moved = self.healthy()
+        moved[row] = entry(1e6, levels=884.0)
+        cur = self.write("levels_moved.json", snapshot(moved))
+        r = self.run_gate(base_path, cur)
+        self.assertEqual(r.returncode, 1, r.stdout + r.stderr)
+        self.assertIn("levels = 884.0, baseline 883.0", r.stdout)
+
+        # A baseline without the column (recorded before it) is not gated.
+        legacy = self.write("levels_legacy.json", snapshot(
+            dict(self.healthy(), **{row: entry(1e6)})))
+        r = self.run_gate(legacy, cur)
+        self.assertEqual(r.returncode, 0, r.stdout + r.stderr)
+
 
 if __name__ == "__main__":
     unittest.main()

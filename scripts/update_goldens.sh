@@ -2,7 +2,8 @@
 # Regenerate tests/golden/*.golden from the current build.
 #
 # Run after an intentional model change, then review the golden diff like any
-# other code change. Benches run in --quick mode with XSCALE_THREADS=1 —
+# other code change. Benches run in --quick mode (plus a full-fabric run of
+# the three benches in FULL_BENCHES) with XSCALE_THREADS=1 —
 # outputs are thread-count invariant by construction (see DESIGN.md §7), so
 # one thread is the canonical recording configuration.
 #
@@ -19,6 +20,7 @@ BENCHES=(
   table6_caar table7_ecp ablation_design
   xtopo_fat_tree xtopo_rotor
 )
+FULL_BENCHES=(table6_caar table7_ecp sec44_scaling)
 
 cmake --build "$BUILD" -j --target golden_check "${BENCHES[@]}"
 
@@ -27,5 +29,11 @@ for b in "${BENCHES[@]}"; do
   echo "recording $b..."
   XSCALE_THREADS=1 "$BUILD/tests/golden_check" "$BUILD/bench/$b" \
     "tests/golden/$b.golden" --update -- --quick
+done
+# Full-fabric runs (tests/CMakeLists.txt): seconds each in a release build.
+for b in "${FULL_BENCHES[@]}"; do
+  echo "recording $b (full fabric)..."
+  XSCALE_THREADS=1 "$BUILD/tests/golden_check" "$BUILD/bench/$b" \
+    "tests/golden/$b.full.golden" --update
 done
 echo "done: $(ls tests/golden | wc -l) golden files"

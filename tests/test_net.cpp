@@ -8,6 +8,7 @@
 #include <limits>
 #include <numeric>
 #include <stdexcept>
+#include <string>
 
 #include "machines/machine.hpp"
 #include "net/fabric.hpp"
@@ -15,6 +16,7 @@
 #include "net/patterns.hpp"
 #include "net/solver.hpp"
 #include "obs/metrics.hpp"
+#include "sim/rng.hpp"
 #include "sim/units.hpp"
 #include "topo/topology.hpp"
 
@@ -193,6 +195,330 @@ TEST(Solver, DegenerateCapacitiesMatchReferenceBitwise) {
       EXPECT_EQ(cs.bottleneck_links, rs.bottleneck_links);
     }
   }
+}
+
+// ------------------------------------------- cached-share water-filling --
+// The CSR core recomputes only what a level touched (DESIGN.md §9). Each
+// test below pins it to the reference, which sweeps every active link at
+// every level, on an input class where that shortcut has something to get
+// wrong: rates bitwise, per-flow levels and solver stats alike.
+
+std::uint64_t bits_of(double v) { return std::bit_cast<std::uint64_t>(v); }
+
+// Solves through the CSR core (into a scratch shared across calls, so one
+// problem's leftovers meet the next) and through the reference. Returns
+// the reference's stats; throws if both throw the same exception type.
+net::SolveStats expect_csr_equals_reference(
+    const std::vector<double>& cap, const std::vector<std::vector<int>>& paths,
+    const std::vector<double>* weights, const std::string& label) {
+  static net::SolveScratch scratch;
+  net::PathsCsr csr;
+  for (const auto& p : paths) csr.push_path(p.begin(), p.end());
+  std::vector<double> rates(paths.size());
+  std::vector<int> levels(paths.size(), 0), ref_levels;
+  net::SolveStats cs, rs;
+  bool csr_threw = false, ref_threw = false;
+  std::vector<double> ref;
+  try {
+    net::max_min_rates_csr(cap.data(), cap.size(), csr,
+                           weights ? weights->data() : nullptr, rates.data(),
+                           &cs, scratch, nullptr, levels.data());
+  } catch (const std::runtime_error&) {
+    csr_threw = true;
+  }
+  try {
+    ref = net::max_min_rates_reference(cap, paths, weights, &rs, &ref_levels);
+  } catch (const std::runtime_error&) {
+    ref_threw = true;
+  }
+  EXPECT_EQ(csr_threw, ref_threw) << label;
+  if (csr_threw || ref_threw) throw std::runtime_error(label);
+  for (std::size_t f = 0; f < paths.size(); ++f) {
+    EXPECT_EQ(bits_of(rates[f]), bits_of(ref[f])) << label << " flow " << f;
+    EXPECT_EQ(levels[f], ref_levels[f]) << label << " flow " << f;
+  }
+  EXPECT_EQ(cs.iterations, rs.iterations) << label;
+  EXPECT_EQ(cs.bottleneck_links, rs.bottleneck_links) << label;
+  EXPECT_EQ(cs.replayed_flows, 0) << label;
+  return rs;
+}
+
+// `count` random paths of 1..max_len distinct links in [0, links).
+std::vector<std::vector<int>> random_paths(sim::Rng& rng, int count,
+                                           int links, int max_len) {
+  std::vector<std::vector<int>> paths(static_cast<std::size_t>(count));
+  for (auto& p : paths) {
+    const int len = 1 + static_cast<int>(rng.index(static_cast<std::uint64_t>(max_len)));
+    while (static_cast<int>(p.size()) < len) {
+      const int l = static_cast<int>(rng.index(static_cast<std::uint64_t>(links)));
+      if (std::find(p.begin(), p.end(), l) == p.end()) p.push_back(l);
+    }
+  }
+  return paths;
+}
+
+// Thousands of levels over thousands of links: the tree of share minima
+// is several levels deep, positions die and get compacted many times.
+TEST(Solver, DeepSolveMatchesReferenceBitwise) {
+  sim::Rng rng(22);
+  const int links = 6000;
+  std::vector<double> cap(links);
+  for (auto& c : cap) c = rng.uniform(1.0, 100.0);
+  const auto paths = random_paths(rng, 10000, links, 4);
+  std::vector<double> w(paths.size());
+  for (auto& x : w) x = rng.uniform(0.5, 4.0);
+  EXPECT_GE(expect_csr_equals_reference(cap, paths, nullptr, "unweighted").iterations,
+            3000);
+  EXPECT_GE(expect_csr_equals_reference(cap, paths, &w, "weighted").iterations,
+            3000);
+}
+
+// A link whose active weight falls into (0, 1e-12] dies at the end of the
+// level, though it still has an unfrozen crosser: later levels neither test
+// it nor subtract from it.
+TEST(Solver, LinkWeightFallingBelowDeadThresholdMatchesReference) {
+  // Link 1 carries weights 1 and 1e-13; once flow 0 freezes at link 0 it is
+  // left with (1 + 1e-13) - 1, inside the dead band, and flow 1 is frozen
+  // by link 2 at level 2 without link 1's residual limiting it.
+  const double left = (1.0 + 1e-13) - 1.0;
+  ASSERT_GT(left, 0.0);
+  ASSERT_LE(left, 1e-12);
+  const std::vector<double> cap{10.0, 100.0, 50.0};
+  const std::vector<std::vector<int>> paths{{0, 1}, {1, 2}, {0}, {2}};
+  const std::vector<double> w{1.0, 1e-13, 1.0, 1.0};
+  const auto st = expect_csr_equals_reference(cap, paths, &w, "fixed");
+  EXPECT_EQ(st.iterations, 2);
+
+  // Random mixes: every third flow weighs 1e-13..9e-13 and follows the path
+  // of the flow before it (which freezes it) plus one more link, whose
+  // weight drops into the dead band once its ordinary crossers freeze.
+  for (std::uint64_t seed = 1; seed <= 300; ++seed) {
+    sim::Rng rng(seed);
+    const int links = 10;
+    std::vector<double> c(links);
+    for (auto& x : c) x = rng.uniform(1.0, 20.0);
+    auto ps = random_paths(rng, 24, links, 3);
+    std::vector<double> ws(ps.size());
+    for (std::size_t f = 0; f < ps.size(); ++f) {
+      ws[f] = static_cast<double>(1 + rng.index(3));
+      if (f % 3 != 2) continue;
+      ws[f] = 1e-13 * static_cast<double>(1 + rng.index(9));
+      ps[f] = ps[f - 1];
+      const int extra = static_cast<int>(rng.index(links));
+      if (std::find(ps[f].begin(), ps[f].end(), extra) == ps[f].end())
+        ps[f].push_back(extra);
+    }
+    expect_csr_equals_reference(c, ps, &ws, "seed " + std::to_string(seed));
+  }
+}
+
+// Links whose active weight is <= 1e-12 before any level ran: they take
+// part in level 1 and are dead from its end on. Weight-0 flows on links no
+// weighted flow crosses give such links with active weight exactly 0.
+TEST(Solver, LinksDeadFromTheStartMatchReference) {
+  // Link 1 is crossed by one flow of weight 1e-13 only: live in level 1,
+  // where its share (10) is not the minimum (5), and dead from then on. Had
+  // it lived on, its share would undercut link 2's (100) at level 2 and
+  // freeze flow 1 at 10 * 1e-13. Links 3..12 carry one flow each and freeze
+  // last, so level 1 touches one position of thirteen and re-caches it
+  // alone: only the check of every position finds link 1.
+  std::vector<double> cap{5.0, 1e-12, 100.0};
+  std::vector<std::vector<int>> paths{{0}, {1, 2}, {2}};
+  std::vector<double> w{1.0, 1e-13, 1.0};
+  for (int l = 3; l < 13; ++l) {
+    cap.push_back(100.0 * l);
+    paths.push_back({l});
+    w.push_back(1.0);
+  }
+  EXPECT_EQ(expect_csr_equals_reference(cap, paths, &w, "fixed").iterations, 12);
+
+  for (std::uint64_t seed = 1; seed <= 200; ++seed) {
+    sim::Rng rng(seed);
+    const int links = 12, dead_links = 4;
+    std::vector<double> cap(links + dead_links);
+    for (auto& x : cap) x = rng.uniform(1.0, 20.0);
+    auto paths = random_paths(rng, 30, links, 3);
+    std::vector<double> w(paths.size(), 1.0);
+    // Every fifth flow weighs 0: it follows the path of the flow before it,
+    // which freezes it, and also crosses a link only weight-0 flows cross.
+    for (std::size_t f = 5; f < paths.size(); f += 5) {
+      w[f] = 0.0;
+      paths[f] = paths[f - 1];
+      paths[f].push_back(links + static_cast<int>(rng.index(dead_links)));
+    }
+    const auto st =
+        expect_csr_equals_reference(cap, paths, &w, "seed " + std::to_string(seed));
+    EXPECT_GE(st.iterations, 2);
+  }
+}
+
+// A weight-0 flow whose every link dies before anything froze it has no
+// finite share left: the core throws as the reference does, whether the
+// dead links were compacted away (the first problem: one level touches
+// half the positions) or kept in place (the second: later levels touch
+// one position of ten).
+TEST(Solver, FlowLeftOnDeadLinksThrowsLikeReference) {
+  const std::vector<double> w2{1.0, 0.0};
+  EXPECT_THROW(expect_csr_equals_reference({10.0, 10.0}, {{0}, {1}}, &w2, "two"),
+               std::runtime_error);
+  std::vector<double> cap{1.0, 10.0};
+  std::vector<std::vector<int>> paths{{0}, {1}};
+  std::vector<double> w{1.0, 0.0};
+  for (int l = 2; l < 10; ++l) {
+    cap.push_back(static_cast<double>(10 * l));
+    paths.push_back({l});
+    w.push_back(1.0);
+  }
+  EXPECT_THROW(expect_csr_equals_reference(cap, paths, &w, "ten"),
+               std::runtime_error);
+}
+
+// Freeze-prefix replay with one arrival (unit weights): the replayed solve
+// equals the cold one and the reference — rates, levels and iterations —
+// whether the probe stops the replay early or not. Replay leaves emptied
+// links behind, which the first cold level must retire.
+TEST(Solver, FreezePrefixReplayWithArrivalMatchesReference) {
+  int replayed_some = 0, stopped_early = 0;
+  for (std::uint64_t seed = 1; seed <= 100; ++seed) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    sim::Rng rng(seed);
+    const int links = 16, flows = 30;
+    std::vector<double> cap(links);
+    for (auto& x : cap) x = 10.0 * static_cast<double>(1 + rng.index(4));
+    auto paths = random_paths(rng, flows, links, 3);
+    net::SolveScratch scratch;
+    auto solve = [&](const std::vector<std::vector<int>>& ps,
+                     const net::FreezePrefix* prefix, std::vector<int>& levels,
+                     net::SolveStats& st) {
+      net::PathsCsr csr;
+      for (const auto& p : ps) csr.push_path(p.begin(), p.end());
+      std::vector<double> rates(ps.size());
+      levels.assign(ps.size(), 0);
+      net::max_min_rates_csr(cap.data(), cap.size(), csr, nullptr, rates.data(),
+                             &st, scratch, prefix, levels.data());
+      return rates;
+    };
+    std::vector<int> base_levels;
+    net::SolveStats base_st;
+    const auto base = solve(paths, nullptr, base_levels, base_st);
+
+    paths.push_back(random_paths(rng, 1, links, 3)[0]);
+    std::vector<int> level(base_levels);
+    level.push_back(0);
+    std::vector<double> rate(base);
+    rate.push_back(0.0);
+    const net::FreezePrefix prefix{level.data(), rate.data(),
+                                   static_cast<int>(base_st.iterations), flows};
+    std::vector<int> got_levels, ref_levels;
+    net::SolveStats got_st, ref_st;
+    const auto got = solve(paths, &prefix, got_levels, got_st);
+    const auto ref = net::max_min_rates_reference(cap, paths, nullptr, &ref_st,
+                                                  &ref_levels);
+    for (std::size_t f = 0; f < paths.size(); ++f)
+      EXPECT_EQ(bits_of(got[f]), bits_of(ref[f])) << "flow " << f;
+    EXPECT_EQ(got_levels, ref_levels);
+    EXPECT_EQ(got_st.iterations, ref_st.iterations);
+    if (got_st.replayed_flows > 0) ++replayed_some;
+    if (got_st.replayed_flows < flows) ++stopped_early;
+  }
+  EXPECT_GT(replayed_some, 0);
+  EXPECT_GT(stopped_early, 0);
+}
+
+// Whether a full sweep, as the reference runs it, ever fires a link whose
+// share at the start of the level was above the level's minimum: a link an
+// earlier firing of the same level pushed to <= the cutoff by rounding.
+// The CSR core can fire such a link only through its re-queue path.
+bool full_sweep_fires_a_non_candidate(const std::vector<double>& cap,
+                                      const std::vector<std::vector<int>>& paths,
+                                      const std::vector<double>& w) {
+  const auto share = [](double r, double a) {
+    return a > 0.0 ? std::max(0.0, r) / a : std::numeric_limits<double>::infinity();
+  };
+  std::vector<double> residual = cap, aw(cap.size(), 0.0);
+  std::vector<std::vector<int>> flows_on(cap.size());
+  std::vector<int> active;
+  for (std::size_t f = 0; f < paths.size(); ++f)
+    for (int l : paths[f]) {
+      const auto lu = static_cast<std::size_t>(l);
+      if (flows_on[lu].empty()) active.push_back(l);
+      aw[lu] += w[f];
+      flows_on[lu].push_back(static_cast<int>(f));
+    }
+  std::vector<char> frozen(paths.size(), 0);
+  std::size_t remaining = paths.size();
+  while (remaining > 0) {
+    std::vector<double> start(active.size());
+    double m = std::numeric_limits<double>::infinity();
+    for (std::size_t i = 0; i < active.size(); ++i) {
+      const auto lu = static_cast<std::size_t>(active[i]);
+      start[i] = share(residual[lu], aw[lu]);
+      m = std::min(m, start[i]);
+    }
+    if (!std::isfinite(m)) return false;
+    for (std::size_t i = 0; i < active.size(); ++i) {
+      const auto lu = static_cast<std::size_t>(active[i]);
+      if (aw[lu] <= 0.0 || share(residual[lu], aw[lu]) > m) continue;
+      if (start[i] > m) return true;
+      for (int f : flows_on[lu]) {
+        const auto fu = static_cast<std::size_t>(f);
+        if (frozen[fu]) continue;
+        frozen[fu] = 1;
+        --remaining;
+        for (int l : paths[fu]) {
+          residual[static_cast<std::size_t>(l)] -= m * w[fu];
+          aw[static_cast<std::size_t>(l)] -= w[fu];
+        }
+      }
+    }
+    std::erase_if(active, [&](int l) { return aw[static_cast<std::size_t>(l)] <= 1e-12; });
+  }
+  return false;
+}
+
+// The re-queue test's multiply shortcut must not rule out a link whose
+// rounded share ties the cutoff. Link 0 fires at 31/5 = 6.2; its flow 0
+// also crosses link 1, whose share before the level is
+// nextafter(124)/20 > 6.2. After the subtraction link 1 holds
+// r = 117.80000000000001 over 19 flows: r / 19 rounds to 6.2 exactly,
+// though r exceeds fl(6.2 * 19) = 117.8. So link 1 fires in level 1, and
+// the solve takes one level.
+TEST(Solver, RequeueTestKeepsAShareThatRoundsToTheCutoff) {
+  const double cap1 = std::nextafter(124.0, 200.0);
+  const double cutoff = 31.0 / 5.0;
+  ASSERT_GT(cap1 / 20.0, cutoff);
+  ASSERT_EQ((cap1 - cutoff) / 19.0, cutoff);
+  ASSERT_GT(cap1 - cutoff, cutoff * 19.0);
+  std::vector<std::vector<int>> paths{{0, 1}};
+  for (int i = 0; i < 4; ++i) paths.push_back({0});
+  for (int i = 0; i < 19; ++i) paths.push_back({1});
+  const auto st = expect_csr_equals_reference({31.0, cap1}, paths, nullptr, "tie");
+  EXPECT_EQ(st.iterations, 1);
+  EXPECT_EQ(st.bottleneck_links, 2);
+}
+
+// The re-queue path: a seeded search over small problems with near-tied
+// shares and non-dyadic weights finds levels in which a link past the
+// cursor, no candidate at the start of the level, comes to test <= the
+// cutoff after an earlier firing and fires. The core must match there too.
+TEST(Solver, LinkRequeuedMidSweepMatchesReference) {
+  const std::vector<double> caps{0.3, 0.6, 0.9, 0.7, 1.1};
+  const std::vector<double> weights{0.1, 0.2, 0.3, 0.7, 1.0};
+  int found = 0;
+  for (std::uint64_t seed = 1; seed <= 20000 && found < 20; ++seed) {
+    sim::Rng rng(seed);
+    const int links = 6;
+    std::vector<double> cap(links);
+    for (auto& x : cap) x = caps[rng.index(caps.size())];
+    const auto paths = random_paths(rng, 12, links, 3);
+    std::vector<double> w(paths.size());
+    for (auto& x : w) x = weights[rng.index(weights.size())];
+    if (!full_sweep_fires_a_non_candidate(cap, paths, w)) continue;
+    ++found;
+    expect_csr_equals_reference(cap, paths, &w, "seed " + std::to_string(seed));
+  }
+  std::printf("re-queue cases found: %d\n", found);
+  EXPECT_GT(found, 0);
 }
 
 // Property: no link oversubscribed; every flow is bottlenecked somewhere

@@ -882,15 +882,22 @@ TEST(ServeFrontend, RejectedLinesStageNothing) {
       "FLOW 0 1 20 1000000 1e999", "FLOW 0 1 20 1000000 0.5abc",
       "FLOW 0 1 20 1000000 -1e999", "FLOW 0 1 20 1e6abc", "FLOW 0 1 20",
       "FLOW 7 1 20 1000000", "DELTA 0 5 12abc", "DELTA 0 5 1e999",
-      "DELTA 0 5", "DELTA 7 5 1e9"};
+      "DELTA 0 5", "DELTA 7 5 1e9",
+      // Integer fields that stop short of the end of their word.
+      "SUBMIT 0abc", "CLOSE 0xyz", "DELTA 0 5.9 7", "FLOW 1 1 2.5 100"};
   // Twice: once with nothing staged, once over an already staged scenario.
   for (int pass = 0; pass < 2; ++pass) {
     for (const std::string& line : rejected) {
       const auto before = frontend.staged();
+      const std::size_t pending = batcher.pending();
       std::ostringstream out;
       EXPECT_TRUE(frontend.handle_line(line, out));
       EXPECT_EQ(out.str().rfind("ERR usage", 0), 0u) << line << ": " << out.str();
       EXPECT_TRUE(frontend.staged() == before) << line;
+      // No session was closed or submitted.
+      EXPECT_NE(batcher.session(0), nullptr) << line;
+      EXPECT_NE(batcher.session(1), nullptr) << line;
+      EXPECT_EQ(batcher.pending(), pending) << line;
     }
     if (pass == 0) {
       // Nothing reached session 0: SUBMIT has nothing to send.

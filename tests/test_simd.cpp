@@ -1,4 +1,4 @@
-// SIMD min-share scan kernel tests (ISSUE 10): the AVX2 kernel must be
+// SIMD share-fill kernel tests (ISSUE 10): the AVX2 kernel must be
 // bitwise interchangeable with the portable scalar kernel on every input —
 // including the adversarial ones a fabric actually produces (massive exact
 // ties from symmetric traffic, near-ties one ULP apart, zero and negative
@@ -7,8 +7,10 @@
 // fired-link trajectory under either kernel.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
 #include <cstddef>
+#include <cstdint>
 #include <cstdio>
 #include <limits>
 #include <vector>
@@ -25,52 +27,59 @@ constexpr double kInf = std::numeric_limits<double>::infinity();
 
 // The canonical per-element expression, evaluated by the most naive loop
 // possible — the specification both kernels must match bit for bit.
-double naive_scan(const std::vector<double>& resid,
-                  const std::vector<double>& aw, std::size_t b,
-                  std::size_t e) {
-  double m = kInf;
-  for (std::size_t i = b; i < e; ++i)
-    if (aw[i] > 0.0) m = std::min(m, std::max(0.0, resid[i]) / aw[i]);
-  return m;
+double naive_share(double resid, double aw) {
+  return aw > 0.0 ? std::max(0.0, resid) / aw : kInf;
 }
 
+std::uint64_t bits(double v) { return std::bit_cast<std::uint64_t>(v); }
+
 // Pin the dispatched kernel (whatever it is on this host/build) and the
-// scalar kernel against the naive loop on one input, over every sub-range
-// offset so each possible vector-tail length is hit.
+// scalar kernel against the naive loop on one input, over every prefix
+// length so each block split and tail length is hit: every share, every
+// block minimum and the returned minimum must match bitwise.
 void expect_kernels_match(const std::vector<double>& resid,
                           const std::vector<double>& aw) {
   set_scan_kernel(net::ScanKernel::Auto);
-  const net::MinShareScanFn dispatched = net::min_share_scan();
-  const std::size_t n = resid.size();
-  for (std::size_t b = 0; b <= std::min<std::size_t>(n, 9); ++b) {
-    const double want = naive_scan(resid, aw, b, n);
-    const double scalar = net::min_share_scan_scalar(resid.data(), aw.data(), b, n);
-    const double simd = dispatched(resid.data(), aw.data(), b, n);
-    // EXPECT_EQ on doubles is bitwise here: the expression never produces
-    // NaN, and +inf/-0.0/denormals all compare by value == bits for this
-    // kernel's output domain.
-    EXPECT_EQ(want, scalar) << "scalar kernel, offset " << b;
-    EXPECT_EQ(want, simd) << net::min_share_scan_name() << " kernel, offset "
-                          << b;
+  const net::ShareFillFn dispatched = net::share_fill();
+  for (std::size_t n = 0; n <= resid.size(); ++n) {
+    const std::size_t nb = (n + net::kShareBlock - 1) / net::kShareBlock;
+    std::vector<double> want(n), want_block(nb, kInf);
+    double want_min = kInf;
+    for (std::size_t i = 0; i < n; ++i) {
+      want[i] = naive_share(resid[i], aw[i]);
+      want_block[i / net::kShareBlock] =
+          std::min(want_block[i / net::kShareBlock], want[i]);
+      want_min = std::min(want_min, want[i]);
+    }
+    for (const net::ShareFillFn fn : {&net::share_fill_scalar, dispatched}) {
+      const char* name = fn == dispatched ? net::min_share_scan_name() : "scalar";
+      std::vector<double> share(n, -1.0), block(nb, -1.0);
+      const double got = fn(resid.data(), aw.data(), n, share.data(), block.data());
+      EXPECT_EQ(bits(got), bits(want_min)) << name << " kernel, n " << n;
+      for (std::size_t i = 0; i < n; ++i)
+        EXPECT_EQ(bits(share[i]), bits(want[i])) << name << " share " << i;
+      for (std::size_t k = 0; k < nb; ++k)
+        EXPECT_EQ(bits(block[k]), bits(want_block[k])) << name << " block " << k;
+    }
   }
 }
 
 TEST(SimdScan, DispatchSmoke) {
   set_scan_kernel(net::ScanKernel::Auto);
-  ASSERT_NE(net::min_share_scan(), nullptr);
+  ASSERT_NE(net::share_fill(), nullptr);
   // Log which kernel this host actually runs, so a CI transcript shows
   // whether the AVX2 path was exercised or the scalar fallback.
-  std::printf("min_share_scan dispatch: %s\n", net::min_share_scan_name());
+  std::printf("share_fill dispatch: %s\n", net::min_share_scan_name());
   if (net::min_share_scan_is_simd()) {
     EXPECT_STREQ(net::min_share_scan_name(), "avx2");
   } else {
     EXPECT_STREQ(net::min_share_scan_name(), "scalar");
-    EXPECT_EQ(net::min_share_scan(), &net::min_share_scan_scalar);
+    EXPECT_EQ(net::share_fill(), &net::share_fill_scalar);
   }
   // ForceScalar always lands on the portable kernel.
   set_scan_kernel(net::ScanKernel::ForceScalar);
   EXPECT_STREQ(net::min_share_scan_name(), "scalar");
-  EXPECT_EQ(net::min_share_scan(), &net::min_share_scan_scalar);
+  EXPECT_EQ(net::share_fill(), &net::share_fill_scalar);
   EXPECT_FALSE(net::min_share_scan_is_simd());
   set_scan_kernel(net::ScanKernel::Auto);
 }
@@ -78,8 +87,11 @@ TEST(SimdScan, DispatchSmoke) {
 TEST(SimdScan, EmptyAndTinyRanges) {
   std::vector<double> resid{3.0, 2.0, 1.0};
   std::vector<double> aw{1.0, 1.0, 1.0};
-  EXPECT_EQ(net::min_share_scan_scalar(resid.data(), aw.data(), 0, 0), kInf);
-  EXPECT_EQ(net::min_share_scan()(resid.data(), aw.data(), 2, 2), kInf);
+  double unused = 0.0;
+  EXPECT_EQ(net::share_fill_scalar(resid.data(), aw.data(), 0, &unused, &unused),
+            kInf);
+  EXPECT_EQ(net::share_fill()(resid.data(), aw.data(), 0, &unused, &unused), kInf);
+  EXPECT_EQ(unused, 0.0);  // n == 0 writes nothing
   expect_kernels_match(resid, aw);
 }
 
@@ -114,12 +126,14 @@ TEST(SimdScan, ZeroNegativeAndNonLiveLanes) {
   expect_kernels_match(resid, aw);
   // All-dead input: no live lane anywhere -> +inf from every kernel.
   std::vector<double> dead_aw(aw.size(), 0.0);
-  EXPECT_EQ(net::min_share_scan_scalar(resid.data(), dead_aw.data(), 0,
-                                       dead_aw.size()),
+  std::vector<double> share(aw.size()), block(aw.size());
+  EXPECT_EQ(net::share_fill_scalar(resid.data(), dead_aw.data(), aw.size(),
+                                   share.data(), block.data()),
             kInf);
-  EXPECT_EQ(net::min_share_scan()(resid.data(), dead_aw.data(), 0,
-                                  dead_aw.size()),
+  EXPECT_EQ(net::share_fill()(resid.data(), dead_aw.data(), aw.size(),
+                              share.data(), block.data()),
             kInf);
+  expect_kernels_match(resid, dead_aw);
 }
 
 TEST(SimdScan, RandomizedSweepAllTailLengths) {

@@ -44,8 +44,6 @@ void FlowSim::ensure_sized() {
   flows_on_link_.assign(n, {});
   link_dirty_.assign(n, 0);
   link_visit_epoch_.assign(n, 0);
-  link_local_id_.assign(n, 0);
-  link_remap_epoch_.assign(n, 0);
   // Floor rarely-grown scratch capacities so one-off spikes (several flows
   // completing at the same instant) don't allocate mid-run.
   done_slots_.reserve(16);
@@ -421,45 +419,31 @@ void FlowSim::solve_component(const std::vector<int>& comp, SolveStats* ss) {
   const std::size_t rank_cap = level_rank_.capacity();
   const int levels = ledger_prefix(comp, &arrival);
   const bool use_prefix = levels >= kMinReplayLevels;
-  // Pack a compact sub-problem into the persistent CSR arena: only the
-  // component's links, densely renumbered in first-encounter order
-  // (ascending flow id), which makes the restricted solve's arithmetic
-  // identical to the full solve's — within a component the full solver
-  // performs exactly the same operations in the same order, and flows
-  // outside it never touch these links. The link remap is epoch-stamped, so
-  // packing costs O(component nnz) with no clearing pass.
-  ++remap_epoch_;
-  const std::size_t caps_cap = comp_caps_.capacity();
-  const std::size_t ids_cap = comp_csr_.link_ids.capacity();
-  const std::size_t off_cap = comp_csr_.offsets.capacity();
+  // Pack the component into the persistent compact problem: only its links,
+  // numbered in first-seen order (ascending flow id), which makes the
+  // restricted solve's arithmetic identical to the full solve's — within a
+  // component the full solver performs exactly the same operations in the
+  // same order, and flows outside it never touch these links.
+  const std::size_t problem_reserved = comp_problem_.reserved();
   const std::size_t rates_cap = comp_rates_.capacity();
   const std::size_t prev_cap = comp_prev_rate_.capacity();
   const std::size_t levels_cap = comp_levels_.capacity();
-  comp_caps_.clear();
-  comp_csr_.clear();
-  comp_prev_rate_.clear();
   const auto& caps = fabric_.effective_capacities();
+  comp_problem_.begin(caps.size());
+  comp_prev_rate_.clear();
   for (int s : comp) {
     const Flow& f = slots_[static_cast<std::size_t>(s)];
     if (use_prefix) comp_prev_rate_.push_back(f.rate);
-    for (int l : f.path) {
-      const auto lu = static_cast<std::size_t>(l);
-      if (link_remap_epoch_[lu] != remap_epoch_) {
-        link_remap_epoch_[lu] = remap_epoch_;
-        link_local_id_[lu] = static_cast<int>(comp_caps_.size());
-        comp_caps_.push_back(caps[lu]);
-      }
-      comp_csr_.push_link(link_local_id_[lu]);
-    }
-    comp_csr_.end_path();
+    for (int l : f.path) comp_problem_.push_link(l, caps.data());
+    comp_problem_.end_path();
   }
   comp_rates_.resize(comp.size());
   comp_levels_.resize(comp.size());
   const FreezePrefix prefix{replay_level_.data(), comp_prev_rate_.data(),
                             levels, arrival};
-  max_min_rates_csr(comp_caps_.data(), comp_caps_.size(), comp_csr_, nullptr,
-                    comp_rates_.data(), ss, solve_scratch_,
-                    use_prefix ? &prefix : nullptr, comp_levels_.data());
+  max_min_rates_csr(comp_problem_, nullptr, comp_rates_.data(), ss,
+                    solve_scratch_, use_prefix ? &prefix : nullptr,
+                    comp_levels_.data());
   // This solve is the members' new ledger entry.
   const std::uint64_t pass = ++pass_;
   for (std::size_t i = 0; i < comp.size(); ++i) {
@@ -472,9 +456,7 @@ void FlowSim::solve_component(const std::vector<int>& comp, SolveStats* ss) {
   // count is thread-count independent — everything here runs on the
   // simulator's own thread against its own buffers.)
   const bool grew = solve_scratch_.last_solve_allocated ||
-                    comp_caps_.capacity() != caps_cap ||
-                    comp_csr_.link_ids.capacity() != ids_cap ||
-                    comp_csr_.offsets.capacity() != off_cap ||
+                    comp_problem_.reserved() != problem_reserved ||
                     comp_rates_.capacity() != rates_cap ||
                     comp_prev_rate_.capacity() != prev_cap ||
                     comp_levels_.capacity() != levels_cap ||

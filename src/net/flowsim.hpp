@@ -27,7 +27,7 @@
 //
 // Storage is flat (DESIGN.md §8): flows live in a slot arena with a free
 // list, per-link incidence holds slot indices, and the restricted re-solve
-// packs into a persistent `PathsCsr` + `SolveScratch` — so a steady-state
+// packs into a persistent `CompactPaths` + `SolveScratch` — so a steady-state
 // churn event (complete one flow, start another, re-solve the component)
 // performs zero heap allocations once the arena has warmed. Byte accrual is
 // lazy: a flow's `remaining` is only materialised when its rate changes
@@ -265,7 +265,7 @@ class FlowSim {
   double remaining_eff_at(const Flow& f, double t) const;
   void note_writeback(std::uint64_t applied, std::uint64_t skipped);
   // Settles any parked uniform rate, packs `comp` (ascending id) into the
-  // CSR arena, solves it with the ledger prefix its delta allows, records
+  // compact problem, solves it with the ledger prefix its delta allows, records
   // the new ledger entries and writes back the rates that changed.
   void solve_component(const std::vector<int>& comp, SolveStats* ss);
   void resolve_and_schedule();
@@ -285,11 +285,7 @@ class FlowSim {
   std::uint64_t visit_epoch_ = 0;
   // Persistent working set for the restricted solve and the event handler —
   // grow-only, reused every resolve (the zero-allocation contract).
-  std::vector<int> link_local_id_;
-  std::vector<std::uint64_t> link_remap_epoch_;
-  std::uint64_t remap_epoch_ = 0;
-  std::vector<double> comp_caps_;
-  PathsCsr comp_csr_;
+  CompactPaths comp_problem_;
   std::vector<double> comp_rates_;
   SolveScratch solve_scratch_;
   std::vector<int> comp_slots_;

@@ -51,19 +51,21 @@ struct JobRecord {
 class Scheduler {
  public:
   // `nodes_per_group` partitions node ids into dragonfly groups for
-  // topology-aware placement (128 on Frontier).
+  // topology-aware placement (128 on Frontier). Throws
+  // std::invalid_argument when `total_nodes` < 0 or `nodes_per_group` <= 0.
   Scheduler(int total_nodes, int nodes_per_group, std::uint64_t seed = 1);
 
   // --- node health (checknode) -------------------------------------------------
-  // Throws std::out_of_range, changing nothing, for a node outside
+  // Both throw std::out_of_range, changing nothing, for a node outside
   // [0, total_nodes).
   void set_healthy(int node, bool healthy);
-  bool is_healthy(int node) const { return healthy_[static_cast<std::size_t>(node)]; }
+  bool is_healthy(int node) const;
   int healthy_nodes() const;
   int free_nodes() const;
 
   // --- synchronous allocation API ----------------------------------------------
-  // Returns nullopt when not enough healthy free nodes exist.
+  // Returns nullopt when not enough healthy free nodes exist (and for 0
+  // nodes). Throws std::invalid_argument, changing nothing, when `nodes` < 0.
   std::optional<Allocation> allocate(int nodes, Placement p = Placement::Auto);
   // Throws std::out_of_range, freeing nothing, when any node of `alloc` is
   // outside [0, total_nodes).

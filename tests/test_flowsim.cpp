@@ -4,6 +4,8 @@
 // cancel-heavy reschedule pattern.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <limits>
@@ -253,6 +255,77 @@ TEST(FlowSimIncremental, FullAndIncrementalCompletionTimesAgree) {
   const auto full = run(false);
   ASSERT_EQ(inc.size(), full.size());
   for (std::size_t i = 0; i < inc.size(); ++i) EXPECT_EQ(inc[i], full[i]);
+}
+
+// Horizon robustness: byte accrual is `remaining - rate * (t - accrued_at)`
+// in double seconds, so a run far from t = 0 computes with coarser times.
+// Near t0 = 1e6 s (2^19 <= t0 < 2^20) doubles are 2^-33 s apart, and each
+// time the simulator computes (a start, a completion event, the instant of
+// an accrual) is rounded by at most half that, 2^-34 s. Rates do not depend
+// on time, so the shifted run solves the same problems and differs only in
+// those roundings. A flow's completion time is its start time plus the
+// elapsed intervals of its accruals plus its last drain interval; each
+// interval is read from two rounded times, so each accrual can move the
+// completion by at most 2 x 2^-34 = 2^-33 s, and the start and the final
+// event add one more 2^-33 s between them. The bound for a flow with k
+// accruals is (k + 1) * 2^-33 s. k is at most the number of starts and
+// completions strictly inside the flow's lifetime (each rate change needs a
+// resolve, and only those events resolve) plus the one at its completion.
+TEST(FlowSimHorizon, ShiftedStartKeepsCompletionDriftWithinRounding) {
+  constexpr int kFlows = 96;
+  constexpr double kT0 = 1e6;
+  sim::Rng rng(11);
+  struct Spec {
+    int src, dst;
+    double at, bytes;
+  };
+  std::vector<Spec> specs;
+  for (int i = 0; i < kFlows; ++i) {
+    const int src = static_cast<int>(rng.index(128));
+    int dst = static_cast<int>(rng.index(128));
+    if (dst == src) dst = (dst + 1) % 128;
+    specs.push_back({src, dst, rng.uniform(0.0, 0.05), rng.uniform(1e6, 1e9)});
+  }
+  auto run = [&](double t0) {
+    sim::Engine eng;
+    auto fabric = small_dragonfly(net::Routing::Minimal);
+    net::FlowSim fs(eng, fabric);
+    std::vector<double> done(kFlows, -1.0);
+    for (int i = 0; i < kFlows; ++i) {
+      const Spec& sp = specs[static_cast<std::size_t>(i)];
+      eng.schedule_at(t0 + sp.at, [&, i, sp] {
+        fs.start(sp.src, sp.dst, sp.bytes,
+                 [&done, &eng, i] { done[static_cast<std::size_t>(i)] = eng.now(); });
+      });
+    }
+    eng.run();
+    return done;
+  };
+  const auto base = run(0.0);
+  const auto shifted = run(kT0);
+  std::vector<double> events;
+  for (int i = 0; i < kFlows; ++i) {
+    ASSERT_GE(base[static_cast<std::size_t>(i)], 0.0) << "flow " << i;
+    ASSERT_GE(shifted[static_cast<std::size_t>(i)], kT0) << "flow " << i;
+    events.push_back(specs[static_cast<std::size_t>(i)].at);
+    events.push_back(base[static_cast<std::size_t>(i)]);
+  }
+  double worst = 0.0, worst_s = 0.0;
+  for (int i = 0; i < kFlows; ++i) {
+    const auto iu = static_cast<std::size_t>(i);
+    const double begin = specs[iu].at, end = base[iu];
+    const auto inside = std::count_if(events.begin(), events.end(), [&](double t) {
+      return t > begin && t < end;
+    });
+    const double bound = static_cast<double>(inside + 2) * 0x1p-33;
+    // t0 <= shifted < 2 * t0, so the subtraction is exact.
+    const double drift = std::abs((shifted[iu] - kT0) - end);
+    EXPECT_LE(drift, bound) << "flow " << i << ", " << inside << " events inside";
+    worst = std::max(worst, drift / bound);
+    worst_s = std::max(worst_s, drift);
+  }
+  std::printf("completion drift at t0 = 1e6 s: up to %.3g s, %.3g of its bound\n",
+              worst_s, worst);
 }
 
 // ------------------------------------------------------ input validation ---

@@ -216,3 +216,35 @@ TEST(Scheduler, ReleaseChecksEveryNodeBeforeFreeingAny) {
   s.release(*a);
   EXPECT_EQ(s.free_nodes(), 16);
 }
+
+// Range checks: every bad argument throws before the scheduler changes.
+TEST(Scheduler, ConstructorRejectsBadSizes) {
+  EXPECT_THROW(sched::Scheduler(16, 0), std::invalid_argument);
+  EXPECT_THROW(sched::Scheduler(16, -4), std::invalid_argument);
+  EXPECT_THROW(sched::Scheduler(-1, 4), std::invalid_argument);
+  const sched::Scheduler empty(0, 4);
+  EXPECT_EQ(empty.free_nodes(), 0);
+}
+
+TEST(Scheduler, AllocateRejectsNegativeCountAndChangesNothing) {
+  sched::Scheduler s(16, 4);
+  for (auto p : {sched::Placement::Auto, sched::Placement::Pack,
+                 sched::Placement::Spread, sched::Placement::Random}) {
+    EXPECT_THROW(s.allocate(-1, p), std::invalid_argument);
+    EXPECT_THROW(s.allocate(-(1 << 30), p), std::invalid_argument);
+    EXPECT_FALSE(s.allocate(0, p).has_value());
+  }
+  EXPECT_EQ(s.free_nodes(), 16);
+  // No job id or VNI was spent on a rejected request.
+  const auto a = s.allocate(2);
+  ASSERT_TRUE(a.has_value());
+  EXPECT_EQ(a->job_id, 1);
+  EXPECT_EQ(a->vni, 1);
+}
+
+TEST(Scheduler, IsHealthyRejectsOutOfRangeNode) {
+  const sched::Scheduler s(16, 4);
+  for (int bad : {-1, 16, 1 << 30})
+    EXPECT_THROW(static_cast<void>(s.is_healthy(bad)), std::out_of_range) << bad;
+  EXPECT_TRUE(s.is_healthy(15));
+}
